@@ -1,7 +1,7 @@
 // Runtime benchmark targets: the on-device chapters (Figures 8-14, Table
-// 4) and the ablation benches for the design choices DESIGN.md calls out
-// (warmup, thermal throttling, big.LITTLE placement, quantisation, the
-// memory roofline).
+// 4) and the ablation benches for the simulator's design choices (warmup,
+// thermal throttling, big.LITTLE placement, quantisation, the memory
+// roofline).
 package gaugenn_test
 
 import (

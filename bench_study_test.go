@@ -6,10 +6,12 @@
 // (asserted by TestRunStudyDeterministicAcrossWorkerCounts).
 //
 // The "warm" case re-runs an identical study against a populated cache
-// dir (the persistent content-addressed store): extraction, graph decode
-// and profiling are all served from disk, with corpora byte-identical to
-// the cold run (asserted by TestRunStudyWarmRerunZeroDecodesByteIdentical;
-// BENCH_resume.json records the numbers).
+// dir (the persistent content-addressed store): packaging, extraction,
+// graph decode and profiling are all served from disk, with corpora
+// byte-identical to the cold run (asserted by
+// TestRunStudyWarmRerunZeroDecodesByteIdentical and
+// TestAPKMemoWarmRerunPackagesNothing; BENCH_resume.json records the
+// numbers).
 //
 //	go test -bench RunStudy -benchtime 3x -timeout 0
 package gaugenn_test
@@ -57,7 +59,7 @@ func BenchmarkRunStudy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Persist.Cache.Decodes != 0 || res.Persist.ExtractedReports != 0 {
+			if res.Persist.Cache.Decodes != 0 || res.Persist.ExtractedReports != 0 || res.Persist.Packaged != 0 {
 				b.Fatalf("warm benchmark recomputed: %+v", res.Persist)
 			}
 		}

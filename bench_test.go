@@ -3,8 +3,7 @@
 // and prints the rows/series the paper reports, alongside the paper's own
 // numbers where the comparison is meaningful. Absolute values come from
 // the simulated substrates; the asserted property is the *shape* — who
-// wins, by roughly what factor, where crossovers fall (EXPERIMENTS.md
-// records a full paper-vs-measured ledger).
+// wins, by roughly what factor, where crossovers fall.
 //
 // The synthetic store scale defaults to 5% of the paper's 16.6k-app crawl;
 // set GAUGENN_SCALE=1.0 for a full-scale regeneration:

@@ -239,8 +239,8 @@ func runStudy(ctx context.Context, args []string) error {
 			line(v.Stage, v.Snapshot, v.Done, v.Total)
 		case event.CacheStats:
 			progressMu.Lock()
-			cacheLine = fmt.Sprintf("cache: decodes=%d profiles=%d extracted=%d warm-reports=%d warm-analyses=%d warm-payloads=%d",
-				v.Stats.Decodes, v.Stats.Profiles, v.ExtractedReports,
+			cacheLine = fmt.Sprintf("cache: decodes=%d profiles=%d extracted=%d packaged=%d warm-reports=%d warm-analyses=%d warm-payloads=%d",
+				v.Stats.Decodes, v.Stats.Profiles, v.ExtractedReports, v.Packaged,
 				v.WarmReports, v.Stats.WarmAnalysisHits, v.Stats.WarmPayloadHits)
 			progressMu.Unlock()
 		}
@@ -895,7 +895,7 @@ func runFsck(args []string) error {
 		return err
 	}
 	var scanned int
-	for _, kind := range []string{store.KindCorpus, store.KindReport, store.KindGraph, store.KindAnalysis, store.KindPayload, store.KindIndex} {
+	for _, kind := range store.Kinds() {
 		fmt.Fprintf(os.Stderr, "fsck: %s: %d blob(s)\n", kind, res.Scanned[kind])
 		scanned += res.Scanned[kind]
 	}

@@ -4,8 +4,9 @@
 // and validation, offline DNN analysis, and on-device latency/energy
 // benchmarking — rebuilt on synthetic but mechanism-faithful substrates
 // (a generated Play Store, structural model formats, and simulated mobile
-// SoCs wired to a virtual power monitor). See DESIGN.md for the substrate
-// inventory and EXPERIMENTS.md for paper-vs-measured results.
+// SoCs wired to a virtual power monitor). docs/pipeline.md describes the
+// pipeline; the root benchmarks print each table and figure beside the
+// paper's own numbers.
 //
 // Quick start (the v2, context-first API):
 //

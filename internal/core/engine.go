@@ -33,6 +33,10 @@ type PersistStats struct {
 	// WarmReports counts APKs whose extraction report was loaded from the
 	// store; ExtractedReports counts APKs extracted in this run.
 	WarmReports, ExtractedReports int64
+	// Packaged counts APKs built for this run: by BuildAPK in process, or
+	// by the store server per download over HTTP. An identical warm
+	// in-process re-run packages none (see the apk store kind).
+	Packaged int64
 	// Cache is the analysis cache's decode/profile/warm-hit breakdown.
 	Cache analysis.CacheStats
 }
@@ -71,6 +75,7 @@ type studyEngine struct {
 
 	warmReports atomic.Int64
 	extracted   atomic.Int64
+	packaged    atomic.Int64
 
 	// quarMu guards the study-wide quarantine list; per-snapshot budget
 	// arithmetic lives on each appFailures ledger.
@@ -268,24 +273,9 @@ func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *ext
 	h := extract.HashAPK(apkBytes)
 	key = store.HexKey(h[:])
 	if e.cfg.Resume {
-		// A store read error is treated exactly like a cache miss: the warm
-		// path is an optimisation, and a failing disk read must degrade to
-		// recomputation, not kill the study. (Writes are different — see
-		// persistReport.)
-		if data, ok, err := e.st.Get(store.KindReport, key); err == nil && ok {
-			// A warm report is only trusted when every model it references
-			// still has an analysis record (same guard as the payload front
-			// door): a crashed or version-bumped store could hold a report
-			// whose checksums no longer resolve, and ingesting it would fail
-			// hard with no graph to recompute from. Re-extracting instead
-			// self-heals — the current run re-persists every artifact under
-			// the current layout.
-			if rep, err := extract.DecodeReport(data); err == nil && e.analysesResolvable(rep) {
-				e.warmReports.Add(1)
-				return rep, key, true, nil
-			}
-			// Undecodable or dangling record (codec bump, torn blob, crashed
-			// writer): fall through and re-extract rather than fail the study.
+		if rep, ok := e.warmReport(key); ok {
+			e.warmReports.Add(1)
+			return rep, key, true, nil
 		}
 	}
 	rep, err = extract.ExtractAPKCached(ctx, apkBytes, e.cache)
@@ -294,6 +284,30 @@ func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *ext
 	}
 	e.extracted.Add(1)
 	return rep, key, false, nil
+}
+
+// warmReport loads the persisted report under key, if it can be trusted.
+// A store read error is treated exactly like a cache miss: the warm path
+// is an optimisation, and a failing disk read must degrade to
+// recomputation, not kill the study. (Writes are different — see
+// persistReport.)
+func (e *studyEngine) warmReport(key string) (*extract.Report, bool) {
+	data, ok, err := e.st.Get(store.KindReport, key)
+	if err != nil || !ok {
+		return nil, false
+	}
+	// A warm report is only trusted when every model it references still
+	// has an analysis record (same guard as the payload front door): a
+	// crashed or version-bumped store could hold a report whose checksums
+	// no longer resolve, and ingesting it would fail hard with no graph to
+	// recompute from. Re-extracting instead self-heals — the current run
+	// re-persists every artifact under the current layout. An undecodable
+	// record (codec bump, torn blob, crashed writer) is a miss too.
+	rep, err := extract.DecodeReport(data)
+	if err != nil || !e.analysesResolvable(rep) {
+		return nil, false
+	}
+	return rep, true
 }
 
 // analysesResolvable reports whether every model checksum in a persisted
@@ -465,12 +479,14 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 			CorpusKeys:       corpusKeys,
 			WarmReports:      eng.warmReports.Load(),
 			ExtractedReports: eng.extracted.Load(),
+			Packaged:         eng.packaged.Load(),
 			Cache:            eng.cache.Stats(),
 		}
 		eng.emit(event.CacheStats{
 			StudyID:          entry.ID,
 			WarmReports:      res.Persist.WarmReports,
 			ExtractedReports: res.Persist.ExtractedReports,
+			Packaged:         res.Persist.Packaged,
 			Stats:            cacheBreakdown(res.Persist.Cache),
 		})
 	}
@@ -491,21 +507,12 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 	shards := analysis.NewShardedCorpus(label, cfg.KeepGraphs, workers, e.cache)
 	analyse := e.newStage("analyse", label)
 	failures := e.newFailures(label)
-	// handle ingests one downloaded (or in-process-built) APK: extraction
-	// (report-cache aware), sharded analysis, and the cold-report persist.
-	// Errors carry stage attribution so a cancelled or failed run names
-	// the layer that observed it. hctx is the innermost pipeline context
-	// (the in-process path derives one that dies on the snapshot's own
-	// first failure).
-	handle := func(hctx context.Context, idx int, pkg, category string, apkBytes []byte) error {
-		// The shared UniqueCache doubles as the hash-before-decode
-		// front door: duplicate model payloads (heavy overlap between
-		// the 2020 and 2021 crawls) skip graph decode entirely; with a
-		// store attached, whole identical APKs skip extraction.
-		rep, key, warm, err := e.loadReport(hctx, apkBytes)
-		if err != nil {
-			return errs.Stage("extract", label, fmt.Errorf("core: extracting %s: %w", pkg, err))
-		}
+	// ingest adds one app's report to its shard and writes a cold report
+	// through. Errors carry stage attribution so a cancelled or failed run
+	// names the layer that observed it. hctx is the innermost pipeline
+	// context (the in-process path derives one that dies on the
+	// snapshot's own first failure).
+	ingest := func(hctx context.Context, idx int, category string, rep *extract.Report, key string, warm bool) error {
 		if err := shards.AddReport(hctx, idx, category, rep); err != nil {
 			return errs.Stage("analyse", label, err)
 		}
@@ -515,6 +522,20 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 			}
 		}
 		return nil
+	}
+	// handle ingests one downloaded (or in-process-built) APK and returns
+	// its report key. The shared UniqueCache doubles as the
+	// hash-before-decode front door: duplicate model payloads (heavy
+	// overlap between the 2020 and 2021 crawls) skip graph decode
+	// entirely; with a store attached, whole identical APKs skip
+	// extraction.
+	handle := func(hctx context.Context, idx int, pkg, category string, apkBytes []byte) (string, error) {
+		e.packaged.Add(1)
+		rep, key, warm, err := e.loadReport(hctx, apkBytes)
+		if err != nil {
+			return "", errs.Stage("extract", label, fmt.Errorf("core: extracting %s: %w", pkg, err))
+		}
+		return key, ingest(hctx, idx, category, rep, key, warm)
 	}
 	if cfg.UseHTTP {
 		srv := playstore.NewServer(snap)
@@ -560,7 +581,7 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 			},
 		}
 		_, err = cr.Run(ctx, label, func(idx int, m crawler.AppMeta, apkBytes []byte) error {
-			if err := handle(ctx, idx, m.Package, m.Category, apkBytes); err != nil {
+			if _, err := handle(ctx, idx, m.Package, m.Category, apkBytes); err != nil {
 				// Extraction and analysis failures are arbitrated like
 				// download failures; only persist errors (and cancellation)
 				// pass through tolerate and abort the crawl.
@@ -579,7 +600,10 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 	// In-process path: package and extract without the HTTP hop, fanned
 	// out over the same worker pool. The app's position in snap.Apps is
 	// its global index, so shard contents (and the merged corpus) do not
-	// depend on scheduling.
+	// depend on scheduling. With a store, the snapshot's apk record
+	// serves apps an earlier run of this study packaged, without building
+	// or hashing them again.
+	memo := e.openAPKMemo(label)
 	total := len(snap.Apps)
 	failures.setTotal(total)
 	crawl := e.newStage("crawl", label)
@@ -612,13 +636,23 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 			if !needsExtraction(a) {
 				shards.AddApp(idx, analysis.AppInfo{Package: a.Package, Category: string(a.Category)})
 			} else {
-				apkBytes, err := snap.BuildAPK(a)
-				if err != nil {
-					return quarantine(errs.Stage("crawl", label, fmt.Errorf("core: packaging %s: %w", a.Package, err)))
+				recipe := memo.recipe(snap, a)
+				rep, key, ok := e.recordedReport(memo, recipe, a.Package)
+				if ok {
+					e.warmReports.Add(1)
+					if err := ingest(ictx, idx, string(a.Category), rep, key, true); err != nil {
+						return quarantine(err)
+					}
+				} else {
+					apkBytes, err := snap.BuildAPK(a)
+					if err != nil {
+						return quarantine(errs.Stage("crawl", label, fmt.Errorf("core: packaging %s: %w", a.Package, err)))
+					}
+					if key, err = handle(ictx, idx, a.Package, string(a.Category), apkBytes); err != nil {
+						return quarantine(err)
+					}
 				}
-				if err := handle(ictx, idx, a.Package, string(a.Category), apkBytes); err != nil {
-					return quarantine(err)
-				}
+				memo.record(recipe, key)
 			}
 			// Values are pre-normalised to the store's JSON form (float64
 			// numbers) so Put's deep copy shares them instead of re-boxing.
@@ -638,6 +672,9 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, errs.Stage("crawl", label, err)
+	}
+	if err := memo.persist(); err != nil {
+		return nil, errs.Stage("persist", label, err)
 	}
 	return shards.Merge(), nil
 }

@@ -25,6 +25,8 @@ var (
 		"APK reports loaded from the store on the most recent run.")
 	gaugeExtracted = obs.Default().Gauge("gaugenn_study_extracted_reports",
 		"APK reports extracted cold on the most recent run.")
+	gaugePackaged = obs.Default().Gauge("gaugenn_study_packaged_apks",
+		"APKs packaged on the most recent run.")
 	gaugeDecodes = obs.Default().Gauge("gaugenn_study_cache_decodes",
 		"Graph decodes executed on the most recent run.")
 	gaugeProfiles = obs.Default().Gauge("gaugenn_study_cache_profiles",
@@ -75,6 +77,7 @@ func (t *stageTimes) observe(ev event.Event) {
 	case event.CacheStats:
 		gaugeWarmReports.SetInt(v.WarmReports)
 		gaugeExtracted.SetInt(v.ExtractedReports)
+		gaugePackaged.SetInt(v.Packaged)
 		gaugeDecodes.SetInt(v.Stats.Decodes)
 		gaugeProfiles.SetInt(v.Stats.Profiles)
 		gaugeWarmPayloads.SetInt(v.Stats.WarmPayloadHits)

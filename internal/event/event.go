@@ -147,6 +147,9 @@ type CacheStats struct {
 	StudyID string
 	// WarmReports / ExtractedReports split the APK-level work.
 	WarmReports, ExtractedReports int64
+	// Packaged counts APKs built for the run (zero on an identical warm
+	// in-process re-run).
+	Packaged int64
 	// Stats is the analysis cache's decode/profile/warm-hit breakdown.
 	Stats CacheBreakdown
 }

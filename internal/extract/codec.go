@@ -2,11 +2,14 @@ package extract
 
 import (
 	"crypto/md5"
+	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"github.com/gaugenn/gaugenn/internal/cloudml"
+	"github.com/gaugenn/gaugenn/internal/errs"
 	"github.com/gaugenn/gaugenn/internal/nn/graph"
 	"github.com/gaugenn/gaugenn/internal/store"
 )
@@ -118,4 +121,66 @@ func DecodeReport(data []byte) (*Report, error) {
 		})
 	}
 	return r, nil
+}
+
+// apkRecordCodecVersion versions the APK record wire layout; a record of
+// another version is corrupt to its reader, which rebuilds instead.
+const apkRecordCodecVersion = 1
+
+// APKRecord maps APK recipes (hex playstore.Snapshot.APKRecipe) to the
+// report key (hex HashAPK) of the APK each recipe packaged to. Core
+// keeps one per study snapshot under store.KindAPK, so a warm run loads
+// an app's report without building or hashing its APK.
+type APKRecord map[string]string
+
+type apkRecordWire struct {
+	V    int       `json:"v"`
+	APKs APKRecord `json:"apks"`
+}
+
+// EncodeAPKRecord seals a record for the store. Map keys marshal sorted,
+// so equal records encode to equal bytes.
+func EncodeAPKRecord(r APKRecord) ([]byte, error) {
+	return store.SealJSON(apkRecordWire{V: apkRecordCodecVersion, APKs: r})
+}
+
+// DecodeAPKRecord reverses EncodeAPKRecord. Every rejection — a broken
+// seal, another codec version, a malformed body or a key that is not a
+// lowercase hex digest of the right length — matches errs.ErrStoreCorrupt.
+func DecodeAPKRecord(data []byte) (APKRecord, error) {
+	var w apkRecordWire
+	if err := store.OpenJSON(data, &w); err != nil {
+		// A seal failure is already typed; a well-sealed body of the wrong
+		// shape is not.
+		if !errors.Is(err, errs.ErrStoreCorrupt) {
+			err = fmt.Errorf("%w: %v", errs.ErrStoreCorrupt, err)
+		}
+		return nil, fmt.Errorf("extract: decoding apk record: %w", err)
+	}
+	if w.V != apkRecordCodecVersion {
+		return nil, fmt.Errorf("extract: apk record codec version %d, want %d: %w", w.V, apkRecordCodecVersion, errs.ErrStoreCorrupt)
+	}
+	for recipe, key := range w.APKs {
+		if !isHexDigest(recipe, sha256.Size) || !isHexDigest(key, md5.Size) {
+			return nil, fmt.Errorf("extract: apk record maps %.16q to %.16q, want hex digests: %w", recipe, key, errs.ErrStoreCorrupt)
+		}
+	}
+	if w.APKs == nil {
+		w.APKs = APKRecord{}
+	}
+	return w.APKs, nil
+}
+
+// isHexDigest reports whether s is exactly n bytes in lowercase hex, the
+// form store.HexKey renders.
+func isHexDigest(s string, n int) bool {
+	if len(s) != 2*n {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

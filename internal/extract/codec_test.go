@@ -2,11 +2,15 @@ package extract
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/cloudml"
+	"github.com/gaugenn/gaugenn/internal/errs"
 	"github.com/gaugenn/gaugenn/internal/nn/zoo"
+	"github.com/gaugenn/gaugenn/internal/playstore"
+	"github.com/gaugenn/gaugenn/internal/store"
 )
 
 // extractFixtureReport extracts a real file set in process (no decode
@@ -128,4 +132,115 @@ func TestHashAPKDomainSeparated(t *testing.T) {
 	if a == HashAPK([]byte("different")) {
 		t.Fatal("distinct contents must hash apart")
 	}
+}
+
+// realAPKRecord builds the record a study run persists for a small
+// generated snapshot: each ML app's recipe mapped to its APK's HashAPK.
+func realAPKRecord(tb testing.TB) APKRecord {
+	tb.Helper()
+	study, err := playstore.GenerateStudy(playstore.DefaultConfig(5, 0.01))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := APKRecord{}
+	for _, a := range study.Snap21.Apps {
+		if !a.HasML() {
+			continue
+		}
+		data, err := study.Snap21.BuildAPK(a)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r, h := study.Snap21.APKRecipe(a), HashAPK(data)
+		rec[store.HexKey(r[:])] = store.HexKey(h[:])
+		if len(rec) == 3 {
+			break
+		}
+	}
+	return rec
+}
+
+func TestAPKRecordRoundTripByteStable(t *testing.T) {
+	rec := realAPKRecord(t)
+	first, err := EncodeAPKRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeAPKRecord(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec, got) {
+		t.Fatalf("round trip changed the record:\n%v\n%v", rec, got)
+	}
+	second, err := EncodeAPKRecord(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("encode(decode(encode)) not byte-stable")
+	}
+	empty, err := EncodeAPKRecord(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeAPKRecord(empty); err != nil || len(got) != 0 {
+		t.Fatalf("empty record: %v, %v", got, err)
+	}
+}
+
+func TestAPKRecordRejectsCorruptTyped(t *testing.T) {
+	rec := realAPKRecord(t)
+	good, err := EncodeAPKRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recipe string
+	for recipe = range rec {
+		break
+	}
+	badKey, _ := store.SealJSON(apkRecordWire{V: apkRecordCodecVersion, APKs: APKRecord{recipe: "not-hex"}})
+	badRecipe, _ := store.SealJSON(apkRecordWire{V: apkRecordCodecVersion, APKs: APKRecord{"ABCD": rec[recipe]}})
+	oldVersion, _ := store.SealJSON(apkRecordWire{V: apkRecordCodecVersion + 1, APKs: rec})
+	wrongShape, _ := store.SealJSON(map[string]any{"v": apkRecordCodecVersion, "apks": 7})
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x01
+	for name, data := range map[string][]byte{
+		"bit flip": flipped, "truncated": good[:len(good)-3], "empty": nil, "unsealed": []byte(`{"v":1,"apks":{}}`),
+		"bad report key": badKey, "bad recipe": badRecipe, "other version": oldVersion, "wrong shape": wrongShape,
+	} {
+		if _, err := DecodeAPKRecord(data); !errors.Is(err, errs.ErrStoreCorrupt) {
+			t.Errorf("%s: err = %v, want errs.ErrStoreCorrupt", name, err)
+		}
+	}
+}
+
+// FuzzDecodeAPKRecord holds the record decoder to its contract on
+// arbitrary bytes: no panic, every rejection typed as store corruption,
+// and whatever it accepts survives a re-encode unchanged.
+func FuzzDecodeAPKRecord(f *testing.F) {
+	good, err := EncodeAPKRecord(realAPKRecord(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{"sum":"","body":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeAPKRecord(data)
+		if err != nil {
+			if !errors.Is(err, errs.ErrStoreCorrupt) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			return
+		}
+		again, err := EncodeAPKRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeAPKRecord(again)
+		if err != nil || !reflect.DeepEqual(rec, back) {
+			t.Fatalf("accepted record does not round-trip: %v", err)
+		}
+	})
 }

@@ -5,8 +5,9 @@
 //
 // Every blob kind has a definite validity check — corpus blobs hash to
 // their key, graph blobs decode and re-derive their checksum key, sealed
-// records (payload, analysis, report, index) verify their embedded
-// digest (index blobs additionally satisfy structural invariants) — so
+// records (payload, analysis, report, apk, index) verify their embedded
+// digest (apk records additionally carry a codec version and hex-digest
+// keys, index blobs satisfy structural invariants) — so
 // fsck never guesses. Repair is conservative: corrupt derived records are
 // quarantined (moved aside, never deleted) for the next warm run to
 // recompute, and the manifest is rewritten keeping exactly its valid
@@ -75,9 +76,6 @@ type Options struct {
 	Fix bool
 }
 
-// kinds in deterministic scan order.
-var kinds = []string{store.KindAnalysis, store.KindCorpus, store.KindGraph, store.KindIndex, store.KindPayload, store.KindReport}
-
 // Run audits the study store rooted at dir. It operates on the real
 // filesystem (fsck is an offline tool; nothing else may hold the store).
 func Run(dir string, opts Options) (*Result, error) {
@@ -85,7 +83,7 @@ func Run(dir string, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("fsck: %w", err)
 	}
 	res := &Result{Scanned: map[string]int{}}
-	for _, kind := range kinds {
+	for _, kind := range store.Kinds() {
 		if err := checkKind(dir, kind, opts, res); err != nil {
 			return nil, err
 		}
@@ -167,6 +165,9 @@ func validateBlob(kind, key string, data []byte) error {
 		return analysis.ValidatePayloadRecord(data)
 	case store.KindReport:
 		_, err := extract.DecodeReport(data)
+		return err
+	case store.KindAPK:
+		_, err := extract.DecodeAPKRecord(data)
 		return err
 	case store.KindIndex:
 		return index.Validate(data)

@@ -277,3 +277,65 @@ func TestRunRejectsMissingDir(t *testing.T) {
 		t.Fatal("missing store dir must error")
 	}
 }
+
+// TestAPKRecordCorruptionQuarantined covers the apk kind, which only the
+// in-process path writes: a record with a flipped bit and one with a
+// sealed but malformed body are both caught, quarantined by -fix, and
+// written back whole by the next run.
+func TestAPKRecordCorruptionQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.DefaultConfig(77, 0.02)
+	cfg.UseHTTP = false
+	cfg.CacheDir = dir
+	cfg.Resume = true
+	if _, err := core.RunStudy(cfg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Clean() || res.Scanned[store.KindAPK] != 2 {
+		t.Fatalf("fresh store: issues %v, scanned %d apk records", res.Issues, res.Scanned[store.KindAPK])
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, store.KindAPK, "*", "*"))
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("apk records: %v, %v", paths, err)
+	}
+	if err := faults.FlipBit(paths[0], 40); err != nil {
+		t.Fatal(err)
+	}
+	badKeys, err := store.SealJSON(map[string]any{"v": 1, "apks": map[string]string{"zz": "not-a-key"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paths[1], badKeys, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fixed, err := Run(dir, Options{Fix: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixed.Issues) != 2 {
+		t.Fatalf("want both apk records flagged, got %v", fixed.Issues)
+	}
+	for _, is := range fixed.Issues {
+		if is.Kind != store.KindAPK || !is.Fixed {
+			t.Fatalf("unexpected issue %v", is)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "quarantine", is.Kind, is.Key)); err != nil {
+			t.Fatalf("corrupt record not quarantined: %v", err)
+		}
+	}
+	if _, err := core.RunStudy(cfg); err != nil {
+		t.Fatalf("repaired store does not resume: %v", err)
+	}
+	clean, err := Run(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clean.Clean() || clean.Scanned[store.KindAPK] != 2 {
+		t.Fatalf("after resume: issues %v, scanned %d apk records", clean.Issues, clean.Scanned[store.KindAPK])
+	}
+}

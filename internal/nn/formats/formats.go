@@ -11,7 +11,7 @@
 // registry pattern; Identify drives the signature-based validation step.
 //
 // The encodings are structurally analogous to the real formats, not
-// byte-compatible with them (see DESIGN.md's substitution table).
+// byte-compatible with them.
 package formats
 
 import (

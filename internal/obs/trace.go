@@ -127,6 +127,7 @@ func (t *Tracer) Observe(ev event.Event) {
 				"study":              v.StudyID,
 				"warm_reports":       v.WarmReports,
 				"extracted_reports":  v.ExtractedReports,
+				"packaged":           v.Packaged,
 				"decodes":            v.Stats.Decodes,
 				"profiles":           v.Stats.Profiles,
 				"warm_payload_hits":  v.Stats.WarmPayloadHits,

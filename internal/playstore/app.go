@@ -1,7 +1,12 @@
 package playstore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"io"
+	"math"
 
 	"github.com/gaugenn/gaugenn/internal/android/apk"
 	"github.com/gaugenn/gaugenn/internal/android/dex"
@@ -38,30 +43,41 @@ const (
 )
 
 // ModelFiles returns (building and caching on first use) the encoded file
-// set of a unique model in its assigned framework format. Building is
-// single-flight per spec: concurrent packagers of the same model wait for
-// the first build instead of repeating it, and builds of distinct specs
-// proceed in parallel — the lock only guards the cache map.
+// set of a unique model in its assigned framework format.
 func (s *Snapshot) ModelFiles(specIdx int) (formats.FileSet, error) {
 	if specIdx < 0 || specIdx >= len(s.Specs) {
 		return nil, fmt.Errorf("playstore: spec index %d out of range", specIdx)
 	}
-	s.mu.Lock()
-	e, ok := s.fileCache[specIdx]
+	return s.encoded(specIdx, s.SpecFramework[specIdx])
+}
+
+// snpeFiles converts a model to the SNPE dlc container regardless of its
+// native framework, for the dual tflite+dlc shippers of Section 6.3.
+func (s *Snapshot) snpeFiles(specIdx int) (formats.FileSet, error) {
+	return s.encoded(specIdx, "snpe")
+}
+
+// encoded builds (once per study, single-flight) a spec's file set in one
+// format.
+func (s *Snapshot) encoded(specIdx int, framework string) (formats.FileSet, error) {
+	c := s.files
+	k := fileKey{spec: specIdx, framework: framework}
+	c.mu.Lock()
+	e, ok := c.entries[k]
 	if !ok {
 		e = &fileCacheEntry{}
-		s.fileCache[specIdx] = e
+		c.entries[k] = e
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	e.once.Do(func() {
 		g, err := zoo.Build(s.Specs[specIdx])
 		if err != nil {
 			e.err = fmt.Errorf("playstore: building spec %d: %w", specIdx, err)
 			return
 		}
-		f, ok := formats.ByName(s.SpecFramework[specIdx])
+		f, ok := formats.ByName(framework)
 		if !ok {
-			e.err = fmt.Errorf("playstore: unknown framework %q", s.SpecFramework[specIdx])
+			e.err = fmt.Errorf("playstore: unknown framework %q", framework)
 			return
 		}
 		e.fs, e.err = f.Encode(g, s.Specs[specIdx].FileStem())
@@ -69,16 +85,8 @@ func (s *Snapshot) ModelFiles(specIdx int) (formats.FileSet, error) {
 	return e.fs, e.err
 }
 
-// snpeFiles converts a model to the SNPE dlc container regardless of its
-// native framework, for the dual tflite+dlc shippers of Section 6.3.
-func (s *Snapshot) snpeFiles(specIdx int) (formats.FileSet, error) {
-	g, err := zoo.Build(s.Specs[specIdx])
-	if err != nil {
-		return nil, err
-	}
-	f, _ := formats.ByName("snpe")
-	return f.Encode(g, s.Specs[specIdx].FileStem())
-}
+// versionCode is the manifest version code the store ships a listing at.
+func (a *App) versionCode() int { return 20 + a.Rank }
 
 // BuildAPK assembles the app's base APK exactly as the store would serve
 // it: manifest, classes.dex with the app's API call sites, native ML
@@ -86,7 +94,7 @@ func (s *Snapshot) snpeFiles(specIdx int) (formats.FileSet, error) {
 func (s *Snapshot) BuildAPK(a *App) ([]byte, error) {
 	b := apk.NewBuilder(apk.Manifest{
 		Package:     a.Package,
-		VersionCode: 20 + a.Rank,
+		VersionCode: a.versionCode(),
 		MinSDK:      24,
 		Permissions: []string{"android.permission.INTERNET"},
 	})
@@ -173,6 +181,94 @@ func (s *Snapshot) BuildAPK(a *App) ([]byte, error) {
 	b.AddRaw("res/layout/activity_main.xml", []byte("<LinearLayout/>"))
 	b.AddRaw("META-INF/MANIFEST.MF", []byte("Manifest-Version: 1.0\n"))
 	return b.Build()
+}
+
+// packagingVersion is folded into every APKRecipe. Bump it whenever
+// BuildAPK (or anything beneath it: the apk and dex writers, the zoo
+// builders, the format encoders) would emit different bytes for the
+// same inputs, so that recipes recorded against the old bytes miss.
+// TestAPKRecipeGolden fails until it is bumped.
+const packagingVersion = 1
+
+// APKRecipe fingerprints everything BuildAPK reads for app a: a sha256
+// over the package, version code and category, the linked frameworks
+// and cloud APIs, the NNAPI/XNNPACK/lazy-download flags, and per model
+// instance its full zoo.Spec, the spec's native framework, the shipping
+// framework, Encrypted and AssetDir, all under packagingVersion. Equal
+// recipes therefore mean byte-identical APKs, so a store can remember
+// what a recipe's APK hashed to without building it again.
+func (s *Snapshot) APKRecipe(a *App) [sha256.Size]byte {
+	w := recipeWriter{h: sha256.New()}
+	w.str("gaugenn/apk-recipe")
+	w.u64(packagingVersion)
+	w.str(a.Package)
+	w.u64(uint64(a.versionCode()))
+	w.str(string(a.Category))
+	w.strs(a.Frameworks)
+	w.strs(a.CloudAPIs)
+	w.flag(a.UsesNNAPI)
+	w.flag(a.UsesXNNPACK)
+	w.flag(a.LazyModelDownload)
+	w.u64(uint64(len(a.Models)))
+	for _, m := range a.Models {
+		sp := s.Specs[m.SpecIndex]
+		w.u64(uint64(sp.Task))
+		w.u64(uint64(sp.Arch))
+		w.f64(sp.Opts.Width)
+		w.u64(uint64(sp.Opts.Resolution))
+		w.u64(uint64(sp.Opts.Classes))
+		w.u64(uint64(sp.Opts.Vocab))
+		w.u64(uint64(sp.Opts.TimeSteps))
+		w.u64(uint64(sp.Seed))
+		w.flag(sp.Hinted)
+		w.flag(sp.Quantized)
+		w.flag(sp.WeightQuantized)
+		w.f64(sp.SparsityFrac)
+		w.u64(uint64(sp.BaseSeed))
+		w.u64(uint64(sp.FineTuneLayers))
+		w.flag(sp.Ambiguous)
+		w.str(s.SpecFramework[m.SpecIndex])
+		w.str(m.Framework)
+		w.flag(m.Encrypted)
+		w.str(m.AssetDir)
+	}
+	var out [sha256.Size]byte
+	w.h.Sum(out[:0])
+	return out
+}
+
+// recipeWriter feeds a hash an unambiguous encoding: fixed-width
+// integers, length-prefixed strings and counted lists.
+type recipeWriter struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (w *recipeWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(w.buf[:], v)
+	w.h.Write(w.buf[:])
+}
+
+func (w *recipeWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+
+func (w *recipeWriter) flag(b bool) {
+	if b {
+		w.u64(1)
+	} else {
+		w.u64(0)
+	}
+}
+
+func (w *recipeWriter) str(v string) {
+	w.u64(uint64(len(v)))
+	io.WriteString(w.h, v)
+}
+
+func (w *recipeWriter) strs(vs []string) {
+	w.u64(uint64(len(vs)))
+	for _, v := range vs {
+		w.str(v)
+	}
 }
 
 // xorObfuscate is the stand-in for developer-side model encryption: the

@@ -68,11 +68,9 @@ type Snapshot struct {
 
 	cfg Config
 
-	// fileCache single-flights per-spec model encoding: concurrent
-	// builders of the same spec wait on the first instead of serialising
-	// every encode behind one snapshot-wide lock.
-	mu        sync.Mutex
-	fileCache map[int]*fileCacheEntry
+	// files caches encoded model file sets. Both snapshots of a study
+	// share Specs and SpecFramework, so they share one cache too.
+	files *modelFileCache
 
 	// pkgIndex accelerates AppByPackage for concurrent store clients; it
 	// is built lazily once generation has finished mutating Apps.
@@ -80,10 +78,29 @@ type Snapshot struct {
 	pkgIndex map[string]*App
 }
 
+// modelFileCache single-flights model encoding per (spec, format):
+// concurrent builders of the same file set wait on the first instead of
+// serialising every encode behind one lock, and builds of distinct file
+// sets proceed in parallel — the lock only guards the map.
+type modelFileCache struct {
+	mu      sync.Mutex
+	entries map[fileKey]*fileCacheEntry
+}
+
+// fileKey names one encoded file set: a spec in one shipping format.
+type fileKey struct {
+	spec      int
+	framework string
+}
+
 type fileCacheEntry struct {
 	once sync.Once
 	fs   formats.FileSet
 	err  error
+}
+
+func newModelFileCache() *modelFileCache {
+	return &modelFileCache{entries: map[fileKey]*fileCacheEntry{}}
 }
 
 // AppByPackage returns the app with the given package name.
@@ -399,10 +416,10 @@ func (g *generator) generate21() (*Snapshot, error) {
 
 	// App skeletons per category.
 	snap := &Snapshot{
-		Label:     "snapshot-2021",
-		Date:      "2021-04-04",
-		cfg:       cfg,
-		fileCache: map[int]*fileCacheEntry{},
+		Label: "snapshot-2021",
+		Date:  "2021-04-04",
+		cfg:   cfg,
+		files: newModelFileCache(),
 	}
 	appsPerCat := cfg.scaled(cfg.AppsPerCategory)
 	zipfDl, err := stats.NewZipf(g.rng, 1.1, maxInt(2, appsPerCat))
@@ -553,7 +570,7 @@ func (g *generator) derive20(snap21 *Snapshot) (*Snapshot, error) {
 		Label:         "snapshot-2020",
 		Date:          "2020-02-14",
 		cfg:           cfg,
-		fileCache:     map[int]*fileCacheEntry{},
+		files:         snap21.files,
 		Specs:         snap21.Specs,
 		SpecFramework: snap21.SpecFramework,
 	}

@@ -3,7 +3,7 @@
 // payloads, framework libraries, cloud-API call sites and churn calibrated
 // to the paper's Tables 2-3 and Figures 4-5 — served over an HTTP API
 // shaped like the store endpoints a device speaks to (top charts, details,
-// purchase, delivery). See DESIGN.md for the substitution rationale.
+// purchase, delivery).
 package playstore
 
 // Category is a Google Play application category.

@@ -1,14 +1,17 @@
 package playstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/android/apk"
 	"github.com/gaugenn/gaugenn/internal/nn/formats"
+	"github.com/gaugenn/gaugenn/internal/nn/zoo"
 )
 
 const testScale = 0.04
@@ -298,15 +301,23 @@ func TestEncryptedModelsFailValidation(t *testing.T) {
 
 func TestModelFilesCache(t *testing.T) {
 	st := testStudy(t)
-	var spec int = -1
+	// A spec both snapshots ship.
+	in20 := map[int]bool{}
+	for _, a := range st.Snap20.Apps {
+		for _, m := range a.Models {
+			in20[m.SpecIndex] = true
+		}
+	}
+	spec := -1
 	for _, a := range st.Snap21.Apps {
-		if len(a.Models) > 0 {
-			spec = a.Models[0].SpecIndex
-			break
+		for _, m := range a.Models {
+			if spec < 0 && in20[m.SpecIndex] {
+				spec = m.SpecIndex
+			}
 		}
 	}
 	if spec < 0 {
-		t.Fatal("no model instance")
+		t.Fatal("no model instance shared by both snapshots")
 	}
 	fs1, err := st.Snap21.ModelFiles(spec)
 	if err != nil {
@@ -316,10 +327,43 @@ func TestModelFilesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name := range fs1 {
-		if len(fs1[name]) != len(fs2[name]) {
-			t.Fatal("cache returned different bytes")
+	fs20, err := st.Snap20.ModelFiles(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cache must hand out exactly what an uncached encode produces.
+	g, err := zoo.Build(st.Snap21.Specs[spec])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := formats.ByName(st.Snap21.SpecFramework[spec])
+	fresh, err := f.Encode(g, st.Snap21.Specs[spec].FileStem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs1) == 0 || len(fs1) != len(fresh) || len(fs2) != len(fresh) {
+		t.Fatalf("file sets differ in size: cached %d/%d, fresh %d", len(fs1), len(fs2), len(fresh))
+	}
+	for name, data := range fresh {
+		if !bytes.Equal(fs1[name], data) || !bytes.Equal(fs2[name], data) {
+			t.Fatalf("cached %s differs from a fresh encode", name)
 		}
+	}
+	// Both snapshots share Specs, so they share one cached file set.
+	if reflect.ValueOf(fs1).Pointer() != reflect.ValueOf(fs20).Pointer() {
+		t.Fatal("the 2020 snapshot rebuilt a spec the 2021 snapshot had cached")
+	}
+	// The dlc twin is cached alongside the native encoding.
+	dlc1, err := st.Snap21.snpeFiles(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dlc2, err := st.Snap20.snpeFiles(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.ValueOf(dlc1).Pointer() != reflect.ValueOf(dlc2).Pointer() {
+		t.Fatal("dlc conversion is not cached")
 	}
 	if _, err := st.Snap21.ModelFiles(-1); err == nil {
 		t.Fatal("out-of-range spec should fail")

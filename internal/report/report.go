@@ -122,8 +122,8 @@ func DistHeaders(label string) []string {
 	return []string{label + " avg±std", label + " med", label + " min", label + " max"}
 }
 
-// Comparison is a paper-vs-measured line item for EXPERIMENTS.md-style
-// reporting.
+// Comparison is a paper-vs-measured line item, for printing a reproduced
+// result beside the paper's.
 type Comparison struct {
 	Metric   string
 	Paper    float64

@@ -285,7 +285,7 @@ func TestSSEClientDisconnectMidStream(t *testing.T) {
 // TestSSEStalledReaderResumesGapFree stalls mid-stream until the server
 // cuts the subscriber (lag drop or write deadline), then resumes with
 // Last-Event-ID and verifies the stitched stream has no gap and no
-// duplicate versus a reference reader that never stalled.
+// duplicate versus a full ring replay taken after the job ends.
 func TestSSEStalledReaderResumesGapFree(t *testing.T) {
 	testutil.NoLeakedGoroutines(t)
 	release := make(chan struct{})
@@ -297,31 +297,6 @@ func TestSSEStalledReaderResumesGapFree(t *testing.T) {
 		WithSSEWriteTimeout(200*time.Millisecond),
 	)
 	job := submitSpec(t, srv, sched.Spec{Seed: 1, Scale: 0.01}, "acme")
-
-	// Reference reader: consumes promptly, sees the whole stream. (No
-	// t.Fatal off the test goroutine: failures travel back on the channel.)
-	refConn := openEvents(t, srv, job.ID, 0)
-	defer refConn.close()
-	type refResult struct {
-		seqs []uint64
-		err  error
-	}
-	refDone := make(chan refResult, 1)
-	go func() {
-		var seqs []uint64
-		for {
-			id, typ, _, err := refConn.next()
-			if err != nil {
-				refDone <- refResult{nil, err}
-				return
-			}
-			seqs = append(seqs, id)
-			if typ == sched.TypeEnd {
-				refDone <- refResult{seqs, nil}
-				return
-			}
-		}
-	}()
 
 	// Stalled reader: take the first frame, then stop consuming.
 	c := openEvents(t, srv, job.ID, 0)
@@ -361,16 +336,18 @@ func TestSSEStalledReaderResumesGapFree(t *testing.T) {
 	}
 	c.close()
 
-	ref := <-refDone
-	if ref.err != nil {
-		t.Fatalf("reference reader: %v", ref.err)
+	// Reference: a full ring replay once the job has ended. A live reader
+	// opened alongside would be cut by the same subscriber-lag drop the
+	// stalled reader exercises, so only the replay sees the whole stream.
+	full := openEvents(t, srv, job.ID, 0)
+	ref, _ := drainToEnd(t, full, 0)
+	full.close()
+	if len(ref) != len(seqs) {
+		t.Fatalf("stalled reader saw %d events, reference saw %d", len(seqs), len(ref))
 	}
-	if len(ref.seqs) != len(seqs) {
-		t.Fatalf("stalled reader saw %d events, reference saw %d", len(seqs), len(ref.seqs))
-	}
-	for i := range ref.seqs {
-		if ref.seqs[i] != seqs[i] {
-			t.Fatalf("stream divergence at %d: %d vs %d", i, seqs[i], ref.seqs[i])
+	for i := range ref {
+		if ref[i] != seqs[i] {
+			t.Fatalf("stream divergence at %d: %d vs %d", i, seqs[i], ref[i])
 		}
 	}
 }

@@ -17,8 +17,8 @@ const (
 
 // NewDevice instantiates a fresh device of the given Table 1 model.
 // Throughput and power figures are calibrated so the population-level
-// results of Figures 8-14 land near the paper's ratios (see DESIGN.md §4);
-// they are not vendor datasheet numbers.
+// results of Figures 8-14 land near the paper's ratios; they are not
+// vendor datasheet numbers.
 func NewDevice(model string) (*Device, error) {
 	switch model {
 	case DeviceA20:

@@ -16,8 +16,8 @@ var (
 
 // perKind registers one child per blob kind under name.
 func perKind(name, help string) map[string]*obs.Counter {
-	m := make(map[string]*obs.Counter, 5)
-	for _, kind := range []string{KindPayload, KindAnalysis, KindReport, KindGraph, KindCorpus, KindIndex} {
+	m := make(map[string]*obs.Counter, len(kinds))
+	for _, kind := range kinds {
 		m[kind] = obs.Default().Counter(name, help, obs.Label{Name: "kind", Value: kind})
 	}
 	return m

@@ -1,7 +1,8 @@
 // Package store implements gaugeNN's persistent content-addressed study
 // store: a filesystem CAS holding the pipeline's derived artifacts —
-// extraction reports keyed by APK payload hash, per-checksum analysis
-// records, payload decode outcomes and corpus snapshots — plus an
+// extraction reports keyed by APK payload hash, per-snapshot maps from
+// APK recipes to those report keys, per-checksum analysis records,
+// payload decode outcomes and corpus snapshots — plus an
 // append-only manifest of persisted studies. It is the durability layer
 // under the study engine's warm-start path (a re-run loads everything it
 // has seen before instead of re-crawling/re-decoding it) and the data
@@ -24,6 +25,7 @@ import (
 	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,7 +47,16 @@ const (
 	// KindIndex records columnar query indexes derived from corpus
 	// snapshots, keyed by the source corpus blob's key.
 	KindIndex = "index"
+	// KindAPK records, per (study, snapshot), which report key each APK
+	// recipe packaged to, so warm runs skip packaging and hashing.
+	KindAPK = "apk"
 )
+
+// kinds lists every blob kind, in the fixed order fsck scans them.
+var kinds = []string{KindAnalysis, KindAPK, KindCorpus, KindGraph, KindIndex, KindPayload, KindReport}
+
+// Kinds returns every blob kind in a fixed order.
+func Kinds() []string { return slices.Clone(kinds) }
 
 // manifestName is the append-only study log at the store root.
 const manifestName = "manifest.jsonl"
@@ -95,13 +106,7 @@ func validKey(key string) bool {
 	return true
 }
 
-func validKind(kind string) bool {
-	switch kind {
-	case KindPayload, KindAnalysis, KindReport, KindGraph, KindCorpus, KindIndex:
-		return true
-	}
-	return false
-}
+func validKind(kind string) bool { return slices.Contains(kinds, kind) }
 
 // blobPath shards blobs by the first two key characters so no directory
 // grows unboundedly (the git object-store layout).
