@@ -10,17 +10,15 @@ import (
 	"github.com/gaugenn/gaugenn/internal/store"
 )
 
-// BenchmarkServeQueries measures the query engine per endpoint, indexed
-// vs corpus-scan, on a real persisted study. Run with -benchmem: the
-// allocs/op column is the regression gate (ci_ceilings in
-// BENCH_serve.json), and the indexed/corpus_scan ratio backs the ">=10x
-// fewer allocs" claim for /api/models and /api/diff.
+// BenchmarkServeQueries measures the query engine's warm steady state
+// per endpoint on a real persisted study. Run with -benchmem: the
+// allocs/op column is the regression gate (queries.ci_ceilings in
+// BENCH_serve.json).
 //
 //	go test -run '^$' -bench BenchmarkServeQueries -benchmem ./internal/serve/
 func BenchmarkServeQueries(b *testing.B) {
-	// A larger study than the correctness tests use: the corpus-scan
-	// baseline's cost scales with corpus records, so a toy corpus would
-	// understate exactly the gap the index exists to close.
+	// A larger study than the correctness tests use, so per-request costs
+	// that scale with the corpus show up.
 	dir := b.TempDir()
 	cfg := core.DefaultConfig(77, 0.1)
 	cfg.UseHTTP = false
@@ -43,50 +41,28 @@ func BenchmarkServeQueries(b *testing.B) {
 		{"studies", "/api/studies"},
 		{"healthz", "/healthz"},
 	}
-	engines := []struct {
-		name string
-		srv  *Server
-		cold bool
-	}{
-		// The cold engine is the pre-index read path under cache
-		// pressure (the PR-8 multi-tenant motivation): the corpus LRU is
-		// evicted between requests, so every query pays the corpus (or
-		// analysis-record) load it paid before the index existed.
-		{"cold", New(st, withoutIndex()), true},
-		// The warm corpus-scan engine keeps corpora memoised and
-		// re-walks them per request — the old steady state.
-		{"corpus_scan", New(st, withoutIndex()), false},
-		{"indexed", New(st), false},
-	}
-	for _, eng := range engines {
-		h := eng.srv.Handler()
-		for _, p := range paths {
-			b.Run(p.name+"/"+eng.name, func(b *testing.B) {
-				// Warm every cache the engine is allowed to keep, then
-				// measure the steady state. Request and recorder are
-				// reused across iterations (ServeMux never mutates the
-				// request; the recorder just resets its body) so the
-				// allocs/op column is the server's work, not the
-				// harness's.
-				req := httptest.NewRequest("GET", p.path, nil)
-				rec := httptest.NewRecorder()
+	h := New(st).Handler()
+	for _, p := range paths {
+		b.Run(p.name, func(b *testing.B) {
+			// Warm every cache, then measure the steady state. Request and
+			// recorder are reused across iterations (ServeMux never mutates
+			// the request; the recorder just resets its body) so the
+			// allocs/op column is the server's work, not the harness's.
+			req := httptest.NewRequest("GET", p.path, nil)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("GET %s = %d: %s", p.path, rec.Code, rec.Body.String())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec.Body.Reset()
 				h.ServeHTTP(rec, req)
 				if rec.Code != http.StatusOK {
-					b.Fatalf("GET %s = %d: %s", p.path, rec.Code, rec.Body.String())
+					b.Fatalf("GET %s = %d", p.path, rec.Code)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if eng.cold {
-						eng.srv.corpora = newCorpusLRU(0)
-					}
-					rec.Body.Reset()
-					h.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("GET %s = %d", p.path, rec.Code)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -41,30 +41,56 @@ func TestServeRequestContextHonoured(t *testing.T) {
 
 // TestServeCorruptCorpusSurfacesSentinel: a torn corpus blob maps to a
 // 500 tagged "store corrupt", and the loader's error matches the public
-// sentinel.
+// sentinel. With the snapshot's index blob gone too, every read that
+// needs the snapshot — study detail (self-heal rebuild), diff and tables
+// — fails that way, and no error response carries cache validators.
 func TestServeCorruptCorpusSurfacesSentinel(t *testing.T) {
 	st, id, res := persistedStudy(t)
-	// Overwrite one snapshot's corpus blob with junk. Corpus blobs are
-	// content-keyed (write-once in Put), so corrupt it via a fresh store
-	// handle writing directly to the blob path is not exposed — instead
-	// decode through the server after truncating the blob on disk.
+	// Corpus blobs are content-keyed (write-once in Put), so the blob is
+	// truncated on disk rather than rewritten through the store.
 	key := res.Persist.CorpusKeys["2021"]
 	if key == "" {
 		t.Fatal("no corpus key")
 	}
 	corruptBlob(t, st, key)
+	if err := os.Remove(filepath.Join(st.Dir(), store.KindIndex, key[:2], key)); err != nil {
+		t.Fatal(err)
+	}
 	s := New(st)
 	_, err := s.corpus(context.Background(), key)
 	if !errors.Is(err, errs.ErrStoreCorrupt) {
 		t.Fatalf("corrupt blob error = %v, want ErrStoreCorrupt on the chain", err)
 	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/studies/"+id+"/tables", nil))
-	if rec.Code != 500 || !strings.Contains(rec.Body.String(), "store corrupt") {
-		t.Fatalf("corrupt store request = %d: %s", rec.Code, rec.Body.String())
-	}
-	if hint := rec.Header().Get("Gaugenn-Hint"); !strings.Contains(hint, "fsck") {
-		t.Fatalf("corrupt store response carries no fsck repair hint: %q", hint)
+	for _, tc := range []struct {
+		path   string
+		status int
+	}{
+		{"/api/studies/" + id, 500},
+		{"/api/diff?from=" + id + "&to=" + id, 500},
+		{"/api/studies/" + id + "/tables", 500},
+		{"/api/models/00000000000000000000000000000000", 404},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
+		if rec.Code != tc.status {
+			t.Fatalf("GET %s = %d, want %d: %s", tc.path, rec.Code, tc.status, rec.Body.String())
+		}
+		if tc.status == 500 {
+			if !strings.Contains(rec.Body.String(), "store corrupt") {
+				t.Fatalf("GET %s body lacks \"store corrupt\": %s", tc.path, rec.Body.String())
+			}
+			if hint := rec.Header().Get("Gaugenn-Hint"); !strings.Contains(hint, "fsck") {
+				t.Fatalf("GET %s carries no fsck repair hint: %q", tc.path, hint)
+			}
+		}
+		// An error must not be stored or revalidated: a cache keeping it
+		// would outlive the repair (or the model's arrival).
+		if etag := rec.Header().Get("ETag"); etag != "" {
+			t.Fatalf("GET %s error response carries ETag %s", tc.path, etag)
+		}
+		if cc := rec.Header().Get("Cache-Control"); cc != "no-store" {
+			t.Fatalf("GET %s error response Cache-Control = %q, want no-store", tc.path, cc)
+		}
 	}
 }
 

@@ -2,13 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"strings"
-	"sync"
 )
 
 // etagOf derives a strong ETag from the parts that determine a
@@ -57,73 +55,25 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// respCache memoises rendered responses — ETag plus JSON body — keyed by
-// a cheap request-derived cache key (path values, raw query, manifest
-// fingerprint; never a hash). The key's parts pin every input the
-// response depends on, so an entry can never go stale: a changed input is
-// a different key, and orphaned keys age out of the LRU. Keying by
-// request rather than by ETag is what makes the warm path allocation-free
-// of hashing — one string concat and one map probe replace the sha256
-// the slow path pays to derive the validator. Bounded like the other
-// memoisations; bodies here are small (summaries, churn rows, listings —
-// never /tables renders).
-type respCache struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *respEntry
-	items map[string]*list.Element
-}
-
-type respEntry struct {
-	key  string
+// response is a rendered read: the strong ETag plus the JSON body.
+// Server.responses memoises them by a cheap request-derived cache key
+// (path values, raw query, manifest fingerprint; never a hash). The key's
+// parts pin every input the response depends on, so an entry can never go
+// stale: a changed input is a different key, and orphaned keys age out of
+// the LRU. Keying by request rather than by ETag is what makes the warm
+// path allocation-free of hashing — one string concat and one map probe
+// replace the sha256 the slow path pays to derive the validator.
+type response struct {
 	etag string
 	body []byte
-}
-
-const defaultRespCache = 1024
-
-func newRespCache() *respCache {
-	return &respCache{max: defaultRespCache, order: list.New(), items: map[string]*list.Element{}}
-}
-
-func (c *respCache) get(key string) (*respEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*respEntry), true
-}
-
-func (c *respCache) add(key, etag string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		ent := el.Value.(*respEntry)
-		ent.etag, ent.body = etag, body
-		return
-	}
-	c.items[key] = c.order.PushFront(&respEntry{key: key, etag: etag, body: body})
-	for len(c.items) > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*respEntry).key)
-	}
 }
 
 // served replays a memoised response for one content-addressed GET: on a
 // cache-key hit, a matching If-None-Match is a 304 and anything else gets
 // the memoised bytes — no hashing, no rendering. Returns true when the
 // response went out; a miss falls through to the handler's slow path,
-// which derives the real ETag and memoises via memoJSON. The corpus-scan
-// engine (withoutIndex) skips the memo so benchmarks compare engines.
+// which derives the real ETag and memoises via memoJSON.
 func (s *Server) served(w http.ResponseWriter, r *http.Request, key string) bool {
-	if s.noIndex {
-		return false
-	}
 	ent, ok := s.responses.get(key)
 	if !ok {
 		return false
@@ -150,9 +100,7 @@ func (s *Server) memoJSON(w http.ResponseWriter, key, etag string, v any) {
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
-	if !s.noIndex {
-		s.responses.add(key, etag, buf.Bytes())
-	}
+	s.responses.add(key, response{etag: etag, body: buf.Bytes()})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(buf.Bytes()); err != nil {

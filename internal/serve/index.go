@@ -1,75 +1,10 @@
 package serve
 
 import (
-	"container/list"
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"github.com/gaugenn/gaugenn/internal/index"
 )
-
-// corpusDecodes counts corpus decodes performed by this process's serve
-// path. The warm-path contract — indexed endpoints never decode a corpus
-// — is asserted against it by TestWarmPathDecodesNoCorpus.
-var corpusDecodes atomic.Int64
-
-// indexLRU bounds the per-CAS-key index memoisation, mirroring corpusLRU.
-// Indexes are orders of magnitude smaller than decoded corpora (columns
-// and bitsets, no per-layer profiles), so the bound is generous; it
-// exists so a store with thousands of snapshots cannot grow the process
-// without limit.
-type indexLRU struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *indexEntry
-	items map[string]*list.Element
-}
-
-type indexEntry struct {
-	key string
-	ix  *index.Index
-}
-
-// defaultIndexCache holds many more entries than the corpus LRU because
-// each one is cheap to keep resident.
-const defaultIndexCache = 256
-
-func newIndexLRU(max int) *indexLRU {
-	if max <= 0 {
-		max = defaultIndexCache
-	}
-	return &indexLRU{max: max, order: list.New(), items: map[string]*list.Element{}}
-}
-
-func (l *indexLRU) get(key string) (*index.Index, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	el, ok := l.items[key]
-	if !ok {
-		return nil, false
-	}
-	l.order.MoveToFront(el)
-	return el.Value.(*indexEntry).ix, true
-}
-
-func (l *indexLRU) add(key string, ix *index.Index) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.items[key]; ok {
-		l.order.MoveToFront(el)
-		el.Value.(*indexEntry).ix = ix
-		return
-	}
-	l.items[key] = l.order.PushFront(&indexEntry{key: key, ix: ix})
-	for len(l.items) > l.max {
-		oldest := l.order.Back()
-		ent := oldest.Value.(*indexEntry)
-		l.order.Remove(oldest)
-		delete(l.items, ent.key)
-	}
-	metIndexResident.SetInt(int64(len(l.items)))
-}
 
 // index returns one snapshot's query index by corpus CAS key: memoised,
 // else loaded from the store, else rebuilt from the corpus (the lazy

@@ -13,7 +13,7 @@ import (
 var metInFlight = obs.Default().Gauge("gaugenn_serve_in_flight",
 	"Requests currently being handled by the query API.")
 
-// Corpus-memoisation residency series (see corpusLRU): operators watch
+// Corpus-memoisation residency series (see Server.corpora): operators watch
 // evictions climb to see cache pressure before it becomes tail latency.
 var (
 	metCorpusEvictions = obs.Default().Counter("gaugenn_serve_corpus_evictions_total",
@@ -28,7 +28,7 @@ var (
 // lost or corrupted under it.
 var (
 	metCorpusDecodes = obs.Default().Counter("gaugenn_serve_corpus_decodes_total",
-		"Corpus snapshots decoded by the query path (cold /tables loads, index rebuilds, legacy fallbacks).")
+		"Corpus snapshots decoded by the query path (cold /tables loads, index rebuilds).")
 	metIndexBuilds = obs.Default().Counter("gaugenn_serve_index_builds_total",
 		"Query indexes rebuilt lazily from a corpus because the persisted blob was absent or invalid.")
 	metIndexResident = obs.Default().Gauge("gaugenn_serve_resident_indexes",

@@ -12,37 +12,67 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gaugenn/gaugenn/internal/analysis"
 	"github.com/gaugenn/gaugenn/internal/index"
 	"github.com/gaugenn/gaugenn/internal/store"
 )
 
-// TestIndexedResponsesMatchCorpusScan pins the query engine's contract:
-// for every indexed endpoint, the columnar index produces a response
-// byte-identical to the corpus-scan path it replaced.
-func TestIndexedResponsesMatchCorpusScan(t *testing.T) {
+// TestIndexedResponsesMatchOracles pins the query engine's contract: every
+// index-answered endpoint renders exactly the bytes writeJSON gives for
+// the analysis it stands in for — the manifest listing, the corpora's
+// dataset stats, analysis.TemporalDiff in both directions and with
+// default labels, and analysis.LoadModelSummary for every unique model of
+// both snapshots.
+func TestIndexedResponsesMatchOracles(t *testing.T) {
 	st, id, res := persistedStudy(t)
-	indexed := httptest.NewServer(New(st).Handler())
-	defer indexed.Close()
-	scan := httptest.NewServer(New(st, withoutIndex()).Handler())
-	defer scan.Close()
+	srv := httptest.NewServer(New(st).Handler())
+	defer srv.Close()
 
-	paths := []string{
-		"/api/studies",
-		"/api/studies/" + id,
-		fmt.Sprintf("/api/diff?from=%s:2020&to=%s:2021", id, id),
-		fmt.Sprintf("/api/diff?from=%s&to=%s", id, id),
+	studies, err := st.Studies()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, u := range res.Corpus21.SortedUniques() {
-		paths = append(paths, "/api/models/"+string(u.Checksum))
+	if len(studies) != 1 || studies[0].ID != id {
+		t.Fatalf("studies: %+v", studies)
 	}
-	for _, u := range res.Corpus20.SortedUniques() {
-		paths = append(paths, "/api/models/"+string(u.Checksum))
+	entry := studies[0]
+	corpora := map[string]*analysis.Corpus{"2020": res.Corpus20, "2021": res.Corpus21}
+	snaps := map[string]studySnapshot{}
+	for label, c := range corpora {
+		snaps[label] = studySnapshot{CorpusKey: entry.Snapshots[label], Dataset: c.Dataset()}
 	}
-	for _, path := range paths {
-		a := get(t, indexed, path, 200)
-		b := get(t, scan, path, 200)
-		if string(a) != string(b) {
-			t.Errorf("GET %s diverges between engines:\nindexed: %s\nscan:    %s", path, a, b)
+	want := map[string]any{
+		"/api/studies":       studies,
+		"/api/studies/" + id: map[string]any{"study": entry, "snapshots": snaps},
+	}
+	for _, d := range []struct {
+		from, to  string
+		old, new_ *analysis.Corpus
+	}{
+		{id + ":2020", id + ":2021", res.Corpus20, res.Corpus21},
+		{id + ":2021", id + ":2020", res.Corpus21, res.Corpus20},
+		{id, id, res.Corpus20, res.Corpus21}, // default labels: from 2020, to 2021
+	} {
+		rows := analysis.TemporalDiff(d.old, d.new_)
+		if len(rows) == 0 {
+			t.Fatalf("diff %s -> %s has no rows to pin", d.from, d.to)
+		}
+		want["/api/diff?from="+d.from+"&to="+d.to] = diffResponse{From: d.from, To: d.to, Rows: rows}
+	}
+	for _, c := range corpora {
+		for _, u := range c.SortedUniques() {
+			ms, ok, err := analysis.LoadModelSummary(st, u.Checksum)
+			if err != nil || !ok {
+				t.Fatalf("LoadModelSummary(%s): ok=%v err=%v", u.Checksum, ok, err)
+			}
+			want["/api/models/"+string(u.Checksum)] = ms
+		}
+	}
+	for path, v := range want {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		if got := get(t, srv, path, 200); string(got) != rec.Body.String() {
+			t.Errorf("GET %s diverges from its oracle:\nserved: %s\noracle: %s", path, got, rec.Body.String())
 		}
 	}
 }
@@ -59,13 +89,13 @@ func TestWarmPathDecodesNoCorpus(t *testing.T) {
 	defer srv.Close()
 
 	sum := res.Corpus21.SortedUniques()[0].Checksum
-	before := corpusDecodes.Load()
+	before := metCorpusDecodes.Value()
 	get(t, srv, "/healthz", 200)
 	get(t, srv, "/api/studies", 200)
 	get(t, srv, "/api/studies/"+id, 200)
 	get(t, srv, "/api/models/"+string(sum), 200)
 	get(t, srv, fmt.Sprintf("/api/diff?from=%s&to=%s", id, id), 200)
-	if d := corpusDecodes.Load() - before; d != 0 {
+	if d := metCorpusDecodes.Value() - before; d != 0 {
 		t.Fatalf("warm path decoded %d corpora, want 0", d)
 	}
 	if n := s.corpora.len(); n != 0 {
@@ -73,7 +103,7 @@ func TestWarmPathDecodesNoCorpus(t *testing.T) {
 	}
 	// Tables are the one read that still renders from decoded corpora.
 	get(t, srv, "/api/studies/"+id+"/tables", 200)
-	if d := corpusDecodes.Load() - before; d == 0 {
+	if d := metCorpusDecodes.Value() - before; d == 0 {
 		t.Fatal("tables render decoded no corpus — counter not wired?")
 	}
 }
@@ -111,6 +141,33 @@ func TestIndexSelfHeals(t *testing.T) {
 			t.Fatalf("%s: re-persisted index stats %+v diverge", name, ix.Dataset)
 		}
 	}
+}
+
+// TestModelFallbackWithoutStudies: a checksum no persisted study covers —
+// analysis records on disk, no manifest entry, so no index to probe — is
+// answered from its analysis record, byte-identical to LoadModelSummary;
+// a checksum with no record stays a 404.
+func TestModelFallbackWithoutStudies(t *testing.T) {
+	st, _, res := persistedStudy(t)
+	if err := os.Remove(filepath.Join(st.Dir(), "manifest.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(st).Handler())
+	defer srv.Close()
+	if body := get(t, srv, "/api/studies", 200); strings.TrimSpace(string(body)) != "[]" {
+		t.Fatalf("store still lists studies: %s", body)
+	}
+	sum := res.Corpus21.SortedUniques()[0].Checksum
+	ms, ok, err := analysis.LoadModelSummary(st, sum)
+	if err != nil || !ok {
+		t.Fatalf("LoadModelSummary(%s): ok=%v err=%v", sum, ok, err)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, ms)
+	if got := get(t, srv, "/api/models/"+string(sum), 200); string(got) != rec.Body.String() {
+		t.Fatalf("fallback model summary diverges:\nserved: %s\noracle: %s", got, rec.Body.String())
+	}
+	get(t, srv, "/api/models/00000000000000000000000000000000", 404)
 }
 
 // stringsContainDataset loosely checks a study-detail body carries the

@@ -55,22 +55,15 @@ import (
 type Server struct {
 	st *store.Store
 
-	// corpora memoises loaded corpus snapshots by CAS key, bounded by an
-	// LRU: keys are content hashes so entries never go stale, and the
-	// bound keeps resident memory independent of how many studies the
-	// store accumulates.
-	corpora *corpusLRU
+	// corpora memoises decoded corpus snapshots by CAS key, for /tables
+	// and index rebuilds.
+	corpora *lru[*analysis.Corpus]
 	// indexes memoises the per-snapshot query indexes (internal/index)
-	// the warm read path answers from; entries are tiny next to decoded
-	// corpora, but the same never-stale CAS-key reasoning applies.
-	indexes *indexLRU
-	// noIndex forces every handler onto the corpus-scan path; tests and
-	// benchmarks use it (via withoutIndex) to compare the two engines.
-	noIndex bool
-	// responses memoises rendered JSON bodies by ETag (content-derived,
-	// so never stale): the warm indexed path replays bytes instead of
-	// re-rendering.
-	responses *respCache
+	// every other read answers from, by corpus CAS key.
+	indexes *lru[*index.Index]
+	// responses memoises rendered JSON reads by request-derived key: the
+	// warm path replays bytes instead of re-rendering.
+	responses *lru[response]
 
 	// manifest caches the parsed study listing keyed by the manifest
 	// file's (size, mtime), so /api/studies and reference resolution stop
@@ -120,12 +113,6 @@ func WithScheduler(sch *sched.Scheduler) Option {
 	return func(s *Server) { s.sch = sch }
 }
 
-// WithCorpusCacheSize bounds the decoded-corpus memoisation (entries, not
-// bytes; <= 0 keeps the default of 16 snapshots).
-func WithCorpusCacheSize(n int) Option {
-	return func(s *Server) { s.corpora = newCorpusLRU(n) }
-}
-
 // WithSSEWriteTimeout bounds each SSE write (default 15s): a reader that
 // stalls past it is disconnected and resumes with Last-Event-ID.
 func WithSSEWriteTimeout(d time.Duration) Option {
@@ -147,20 +134,13 @@ func WithCensusTTL(d time.Duration) Option {
 	}
 }
 
-// withoutIndex forces the corpus-scan query engine, bypassing persisted
-// and memoised indexes. Unexported: only equivalence tests and the
-// cold-baseline benchmark compare the two paths.
-func withoutIndex() Option {
-	return func(s *Server) { s.noIndex = true }
-}
-
 // New creates a server over an opened store.
 func New(st *store.Store, opts ...Option) *Server {
 	s := &Server{
 		st:              st,
-		corpora:         newCorpusLRU(0),
-		indexes:         newIndexLRU(0),
-		responses:       newRespCache(),
+		corpora:         newLRU[*analysis.Corpus](corpusCacheSize, metCorpusEvictions, metCorpusResident),
+		indexes:         newLRU[*index.Index](indexCacheSize, nil, metIndexResident),
+		responses:       newLRU[response](responseCacheSize, nil, nil),
 		censusTTL:       2 * time.Second,
 		sseWriteTimeout: 15 * time.Second,
 	}
@@ -219,7 +199,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// writeErr answers with a JSON error. Handlers stamp validators before
+// they can fail, so it strips them: a cache that stored a 404 or 500
+// would keep it after the model appears or `fsck -fix` repairs the store,
+// and a client revalidating with the ETag would get a 304 for the error.
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
+	w.Header().Del("ETag")
+	w.Header().Set("Cache-Control", "no-store")
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
@@ -402,32 +388,16 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	}
 	snaps := map[string]studySnapshot{}
 	for label, key := range entry.Snapshots {
-		stats, err := s.datasetStats(r.Context(), key)
+		ix, err := s.index(r.Context(), key)
 		if err != nil {
 			// Through the shared mapper so cancellation and corruption get
 			// the same statuses here as on /tables and /diff.
 			s.writeRefErr(w, err)
 			return
 		}
-		snaps[label] = studySnapshot{CorpusKey: key, Dataset: stats}
+		snaps[label] = studySnapshot{CorpusKey: key, Dataset: ix.Dataset}
 	}
 	s.memoJSON(w, ck, etag, map[string]any{"study": entry, "snapshots": snaps})
-}
-
-// datasetStats answers one snapshot's Table 2 column from its index; the
-// corpus-scan fallback (withoutIndex, or an index that cannot be loaded
-// or rebuilt) decodes the corpus as the pre-index server did.
-func (s *Server) datasetStats(ctx context.Context, key string) (analysis.DatasetStats, error) {
-	if !s.noIndex {
-		if ix, err := s.index(ctx, key); err == nil {
-			return ix.Dataset, nil
-		}
-	}
-	c, err := s.corpus(ctx, key)
-	if err != nil {
-		return analysis.DatasetStats{}, err
-	}
-	return c.Dataset(), nil
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -485,15 +455,13 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if cacheHit(w, r, etag) {
 		return
 	}
-	if !s.noIndex {
-		if ms, ok := s.modelFromIndexes(r.Context(), sum); ok {
-			s.memoJSON(w, ck, etag, ms)
-			return
-		}
+	if ms, ok := s.modelFromIndexes(r.Context(), sum); ok {
+		s.memoJSON(w, ck, etag, ms)
+		return
 	}
-	// Corpus-scan engine, and the fallback for checksums no persisted
-	// study covers (e.g. records left by a cancelled run): one analysis
-	// record read, decoding the full per-layer profile.
+	// The fallback for checksums no persisted study covers (e.g. records
+	// left by a cancelled run): one analysis record read, decoding the
+	// full per-layer profile.
 	ms, ok, err := analysis.LoadModelSummary(s.st, sum)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "loading model: %v", err)
@@ -564,38 +532,24 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if cacheHit(w, r, etag) {
 		return
 	}
-	rows, err := s.diffRows(r.Context(), fromKey, toKey)
+	// Joins the two snapshots' category-membership bitsets; the rows equal
+	// analysis.TemporalDiff over the decoded corpora (index.Diff's
+	// contract, pinned by TestIndexedResponsesMatchOracles).
+	oldIx, err := s.index(r.Context(), fromKey)
 	if err != nil {
 		s.writeRefErr(w, err)
 		return
 	}
+	newIx, err := s.index(r.Context(), toKey)
+	if err != nil {
+		s.writeRefErr(w, err)
+		return
+	}
+	rows := index.Diff(oldIx, newIx)
 	if rows == nil {
 		rows = []analysis.ChurnRow{}
 	}
 	s.memoJSON(w, ck, etag, diffResponse{From: fromArg, To: toArg, Rows: rows})
-}
-
-// diffRows joins two snapshots' category-membership bitsets (index
-// engine) or falls back to the record-multiset TemporalDiff over decoded
-// corpora; the two produce identical rows (internal/index's contract,
-// pinned by TestIndexedResponsesMatchCorpusScan).
-func (s *Server) diffRows(ctx context.Context, fromKey, toKey string) ([]analysis.ChurnRow, error) {
-	if !s.noIndex {
-		oldIx, err1 := s.index(ctx, fromKey)
-		newIx, err2 := s.index(ctx, toKey)
-		if err1 == nil && err2 == nil {
-			return index.Diff(oldIx, newIx), nil
-		}
-	}
-	old, err := s.corpus(ctx, fromKey)
-	if err != nil {
-		return nil, err
-	}
-	new_, err := s.corpus(ctx, toKey)
-	if err != nil {
-		return nil, err
-	}
-	return analysis.TemporalDiff(old, new_), nil
 }
 
 // refKey resolves a "STUDY[:LABEL]" reference to its corpus CAS key.
@@ -656,22 +610,6 @@ type refError struct{ msg string }
 
 func (e *refError) Error() string { return e.msg }
 
-// refCorpus resolves a "STUDY[:LABEL]" reference to a loaded corpus.
-func (s *Server) refCorpus(ctx context.Context, ref, defaultLabel string) (*analysis.Corpus, error) {
-	id, label := ref, defaultLabel
-	if i := strings.LastIndex(ref, ":"); i >= 0 {
-		id, label = ref[:i], ref[i+1:]
-	}
-	entry, ok, err := s.study(id)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, &refError{fmt.Sprintf("unknown study %q", id)}
-	}
-	return s.labelledCorpus(ctx, entry, label)
-}
-
 func (s *Server) labelledCorpus(ctx context.Context, entry store.ManifestEntry, label string) (*analysis.Corpus, error) {
 	key, ok := entry.Snapshots[label]
 	if !ok {
@@ -703,7 +641,6 @@ func (s *Server) corpus(ctx context.Context, key string) (*analysis.Corpus, erro
 	}
 	// Counted only when a decode actually happens: the warm-path contract
 	// (indexed queries never decode a corpus) is asserted against this.
-	corpusDecodes.Add(1)
 	metCorpusDecodes.Inc()
 	c, err := analysis.DecodeCorpus(blob)
 	if err != nil {
