@@ -39,7 +39,7 @@ func deviceResults(b *testing.B) map[string][]bench.JobResult {
 	sweepOnce.Do(func() {
 		sweepResults = map[string][]bench.JobResult{}
 		for _, dev := range soc.AllDeviceModels() {
-			res, err := core.DeviceRun(dev, "cpu", models, 4, 1, 5)
+			res, err := core.Bench(context.Background(), core.RunSpec{Device: dev, Backend: "cpu", Threads: 4, Batch: 1, Runs: 5}, models)
 			if err != nil {
 				sweepErr = err
 				return
@@ -234,7 +234,7 @@ func BenchmarkFigure11_BatchThroughput(b *testing.B) {
 		for _, dev := range devices {
 			tput[dev] = map[int]float64{}
 			for _, batch := range batches {
-				results, err := core.DeviceRun(dev, "cpu", models, 4, batch, 3)
+				results, err := core.Bench(context.Background(), core.RunSpec{Device: dev, Backend: "cpu", Threads: 4, Batch: batch, Runs: 3}, models)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -388,7 +388,7 @@ func backendSweep(b *testing.B, models []core.BenchModel, backendNames []string)
 	b.Helper()
 	perBackend := map[string][]bench.JobResult{}
 	for _, backend := range backendNames {
-		results, err := core.DeviceRun("Q845", backend, models, 4, 1, 5)
+		results, err := core.Bench(context.Background(), core.RunSpec{Device: "Q845", Backend: backend, Threads: 4, Batch: 1, Runs: 5}, models)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,6 +17,7 @@
 package gaugenn_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func BenchmarkRunStudy(b *testing.B) {
 				cfg := core.DefaultConfig(studySeed, benchScale)
 				cfg.UseHTTP = false // packaging+extraction dominate; HTTP adds server noise
 				cfg.Workers = workers
-				res, err := core.RunStudy(cfg)
+				res, err := core.Run(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -49,13 +50,13 @@ func BenchmarkRunStudy(b *testing.B) {
 		cfg.Resume = true
 		// Populate the store outside the timer; the measured iterations
 		// are pure warm re-runs.
-		if _, err := core.RunStudy(cfg); err != nil {
+		if _, err := core.Run(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := core.RunStudy(cfg)
+			res, err := core.Run(context.Background(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

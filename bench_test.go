@@ -55,7 +55,7 @@ func study(b *testing.B) *core.StudyResult {
 	studyOnce.Do(func() {
 		cfg := core.DefaultConfig(studySeed, studyScale())
 		cfg.UseHTTP = false // packaging+extraction dominate; HTTP is covered by tests
-		studyRes, studyErr = core.RunStudy(cfg)
+		studyRes, studyErr = core.Run(context.Background(), cfg)
 	})
 	if studyErr != nil {
 		b.Fatal(studyErr)
@@ -409,7 +409,7 @@ func BenchmarkSection63_AccelerationTraces(b *testing.B) {
 func TestStudyShapeInvariants(t *testing.T) {
 	cfg := core.DefaultConfig(studySeed, 0.04)
 	cfg.UseHTTP = false
-	res, err := core.RunStudy(cfg)
+	res, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@
 // WithCacheDir study persists everything and resumes warm. The three
 // stages can also be driven independently: see Study.Run for the
 // crawl+extract+analyse path, SelectBenchModels/Bench for on-device
-// benchmarking, and FleetRun for matrix sweeps across a device lab. The
-// v1 surface (RunStudy, Config, positional DeviceRun) remains as thin
-// deprecated shims over v2; docs/api.md has the migration table.
+// benchmarking, and FleetRun for matrix sweeps across a device lab.
+// docs/api.md maps the removed v1 calls (RunStudy, Config, positional
+// DeviceRun) onto these.
 package gaugenn
 
 import (
@@ -36,15 +36,6 @@ import (
 	"github.com/gaugenn/gaugenn/internal/nn/zoo"
 	"github.com/gaugenn/gaugenn/internal/soc"
 )
-
-// Config parameterises a study run; see core.Config. Setting CacheDir
-// backs the run with the persistent content-addressed study store
-// (docs/persistence.md): warm re-runs skip every decode and profile they
-// have seen before, and `gaugenn serve` answers queries from the store.
-//
-// Deprecated: compose a Study from Options (NewStudy) instead; Config
-// remains for the RunStudy shim.
-type Config = core.Config
 
 // StudyResult holds both analysed snapshots; see core.StudyResult.
 type StudyResult = core.StudyResult
@@ -72,34 +63,10 @@ type Task = zoo.Task
 // Modality is a model's input modality (image/text/audio/sensor).
 type Modality = graph.Modality
 
-// DefaultConfig returns a ready-to-run configuration at the given seed and
-// store scale (1.0 reproduces the paper's 16.6k-app crawl).
-//
-// Deprecated: use NewStudy with WithSeed/WithScale options.
-func DefaultConfig(seed int64, scale float64) Config { return core.DefaultConfig(seed, scale) }
-
-// RunStudy executes the full pipeline: generate the store, crawl both
-// snapshots, extract and validate every model, and analyse the corpora.
-//
-// Deprecated: use NewStudy(...).Run(ctx), which is cancellable and
-// streams typed events; RunStudy delegates to it with
-// context.Background().
-func RunStudy(cfg Config) (*StudyResult, error) { return core.Run(context.Background(), cfg) }
-
 // SelectBenchModels picks up to n unique models from a corpus for
 // benchmarking, serialised for the harness.
 func SelectBenchModels(c *Corpus, n int) ([]BenchModel, error) {
 	return core.SelectBenchModels(c, n)
-}
-
-// DeviceRun benchmarks models on a Table 1 device ("A20", "A70", "S21",
-// "Q845", "Q855", "Q888") under a backend ("cpu", "xnnpack", "nnapi",
-// "gpu", "snpe-cpu", "snpe-gpu", "snpe-dsp").
-//
-// Deprecated: use Bench, which takes a context and folds the six
-// positional parameters into a RunSpec.
-func DeviceRun(device, backend string, models []BenchModel, threads, batch, runs int) ([]JobResult, error) {
-	return core.DeviceRun(device, backend, models, threads, batch, runs)
 }
 
 // Devices lists the Table 1 device models.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func buildCorpus(t *testing.T, snap *playstore.Snapshot, label string) *Corpus {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Package, err)
 		}
-		if err := c.AddReport(string(a.Category), rep); err != nil {
+		if err := c.AddReport(context.Background(), string(a.Category), rep); err != nil {
 			t.Fatal(err)
 		}
 	}

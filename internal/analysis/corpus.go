@@ -125,18 +125,9 @@ func (c *Corpus) AddApp(info AppInfo) {
 
 // AddReport ingests one app's extraction report, profiling and classifying
 // any model checksum seen for the first time (across every corpus sharing
-// this corpus' cache).
-//
-// Deprecated: use AddReportContext, which bounds the per-checksum
-// analysis waits with a context.
-func (c *Corpus) AddReport(category string, rep *extract.Report) error {
-	return c.AddReportContext(context.Background(), category, rep)
-}
-
-// AddReportContext is AddReport with a context bounding the per-checksum
-// single-flight analysis (see UniqueCache.get for the cancellation
-// contract).
-func (c *Corpus) AddReportContext(ctx context.Context, category string, rep *extract.Report) error {
+// this corpus' cache). ctx bounds the per-checksum single-flight analysis
+// (see UniqueCache.get for the cancellation contract).
+func (c *Corpus) AddReport(ctx context.Context, category string, rep *extract.Report) error {
 	info := AppInfo{
 		Package:           rep.Package,
 		Category:          category,

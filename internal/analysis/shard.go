@@ -82,7 +82,7 @@ func (s *ShardedCorpus) AddReport(ctx context.Context, idx int, category string,
 	sh := s.shardFor(idx)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.corpus.AddReportContext(ctx, category, rep); err != nil {
+	if err := sh.corpus.AddReport(ctx, category, rep); err != nil {
 		return err
 	}
 	sh.appIdx = append(sh.appIdx, idx)

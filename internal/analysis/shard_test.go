@@ -101,7 +101,7 @@ func TestShardedMergeMatchesSequentialIngest(t *testing.T) {
 			seq.AddApp(ir.info)
 			continue
 		}
-		if err := seq.AddReport(ir.category, ir.rep); err != nil {
+		if err := seq.AddReport(context.Background(), ir.category, ir.rep); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,10 +182,10 @@ func TestSharedCacheSkipsCrossCorpusRecompute(t *testing.T) {
 		if ir.rep == nil {
 			continue
 		}
-		if err := a.AddReport(ir.category, ir.rep); err != nil {
+		if err := a.AddReport(context.Background(), ir.category, ir.rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddReport(ir.category, ir.rep); err != nil {
+		if err := b.AddReport(context.Background(), ir.category, ir.rep); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ func smallStudy(t *testing.T, useHTTP bool) *StudyResult {
 	t.Helper()
 	cfg := DefaultConfig(77, 0.025)
 	cfg.UseHTTP = useHTTP
-	res, err := RunStudy(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunStudyHTTPAndInProcessAgree(t *testing.T) {
 }
 
 func TestRunStudyRejectsBadScale(t *testing.T) {
-	if _, err := RunStudy(Config{}); err == nil {
+	if _, err := Run(context.Background(), Config{}); err == nil {
 		t.Fatal("zero scale must fail")
 	}
 }
@@ -81,7 +81,7 @@ func TestSelectBenchModels(t *testing.T) {
 	cfg := DefaultConfig(77, 0.02)
 	cfg.UseHTTP = false
 	cfg.KeepGraphs = false
-	bare, err := RunStudy(cfg)
+	bare, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestDeviceRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DeviceRun("Q845", "cpu", models, 4, 1, 3)
+	results, err := Bench(context.Background(), RunSpec{Device: "Q845", Backend: "cpu", Threads: 4, Batch: 1, Runs: 3}, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDeviceRun(t *testing.T) {
 			t.Fatalf("%s: zero latency", r.ModelName)
 		}
 	}
-	if _, err := DeviceRun("NOPE", "cpu", models, 4, 1, 1); err == nil {
+	if _, err := Bench(context.Background(), RunSpec{Device: "NOPE", Backend: "cpu", Threads: 4, Batch: 1, Runs: 1}, models); err == nil {
 		t.Fatal("unknown device must fail")
 	}
 }

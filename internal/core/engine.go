@@ -203,25 +203,15 @@ func (e *studyEngine) quarantined() []*errs.AppError {
 	return out
 }
 
-// emit delivers one typed event to the configured handler and bridges it
-// onto the deprecated stringly-typed Progress callback (StageStart maps
-// to the legacy (0, total) stage-open call, StageProgress to (done,
-// total); StageDone and CacheStats have no v1 equivalent). Events are
-// stamped here — the single point they enter the stream — so every
-// consumer sees a monotonic timestamp and emission sequence number.
+// emit stamps one typed event and delivers it to the stage-duration
+// metrics and the configured OnEvent handler. Stamping here — the single
+// point events enter the stream — gives every consumer a monotonic
+// timestamp and emission sequence number.
 func (e *studyEngine) emit(ev event.Event) {
 	ev = event.Stamped(ev)
 	e.times.observe(ev)
 	if e.cfg.OnEvent != nil {
 		e.cfg.OnEvent(ev)
-	}
-	if e.cfg.Progress != nil {
-		switch v := ev.(type) {
-		case event.StageStart:
-			e.cfg.Progress(event.StageName(v.Stage, v.Snapshot), 0, v.Total)
-		case event.StageProgress:
-			e.cfg.Progress(event.StageName(v.Stage, v.Snapshot), v.Done, v.Total)
-		}
 	}
 }
 
@@ -491,14 +481,6 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 		})
 	}
 	return res, nil
-}
-
-// RunStudy executes the full offline pipeline over both snapshots.
-//
-// Deprecated: use Run, which takes a context; RunStudy is the
-// uncancellable v1 surface and delegates to Run(context.Background(), cfg).
-func RunStudy(cfg Config) (*StudyResult, error) {
-	return Run(context.Background(), cfg)
 }
 
 func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, snap *playstore.Snapshot, label string) (*analysis.Corpus, error) {

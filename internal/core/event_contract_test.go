@@ -19,14 +19,22 @@ type stageLog struct {
 	seqOrder  bool // per-stage Seq strictly increased in delivery order
 }
 
-// TestEventDeliveryContract runs a real (small) study with a handler
-// that records every event and then asserts the documented contract:
-// per stage, StageStart is delivered exactly once and first, Done counts
-// never decrease, StageDone arrives exactly once and last, and stamps
-// are monotonic in delivery order. The handler mutates shared state
-// under its own lock from whichever goroutines the engine uses —
+// TestEventDeliveryContract runs two real (small) studies — a plain one
+// over HTTP and a CacheDir-backed one in process — with a handler that
+// records every event, and asserts the documented contract: per stage,
+// StageStart is delivered exactly once and first, Done counts never
+// decrease, StageDone arrives exactly once and last, and stamps are
+// monotonic in delivery order. Each snapshot's analyse total equals its
+// crawl total, and the persist stages and the one CacheStats event
+// appear exactly when the run is cached. The handler mutates shared
+// state under its own lock from whichever goroutines the engine uses —
 // concurrent-handler safety is the race detector's half of the test.
 func TestEventDeliveryContract(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { checkEventContract(t, false) })
+	t.Run("cached", func(t *testing.T) { checkEventContract(t, true) })
+}
+
+func checkEventContract(t *testing.T, cached bool) {
 	var (
 		mu     sync.Mutex
 		stages = map[string]*stageLog{}
@@ -56,6 +64,11 @@ func TestEventDeliveryContract(t *testing.T) {
 	}
 
 	cfg := DefaultConfig(31, 0.02)
+	if cached {
+		cfg.UseHTTP = false
+		cfg.CacheDir = t.TempDir()
+		cfg.Resume = true
+	}
 	cfg.OnEvent = func(ev event.Event) {
 		switch v := ev.(type) {
 		case event.StageStart:
@@ -111,14 +124,27 @@ func TestEventDeliveryContract(t *testing.T) {
 			t.Errorf("%s: stamp sequence not increasing in delivery order", k)
 		}
 	}
-	// Both snapshots must have run both stages.
-	for _, k := range []string{"crawl/2020", "crawl/2021", "analyse/2020", "analyse/2021"} {
-		if _, ok := stages[k]; !ok {
-			t.Errorf("stage %s never reported", k)
+	// Both snapshots must have run both stages over the same apps, and
+	// persisted exactly when cached.
+	for _, snap := range []string{"2020", "2021"} {
+		crawl, analyse := stages["crawl/"+snap], stages["analyse/"+snap]
+		if crawl == nil || analyse == nil {
+			t.Errorf("snapshot %s: crawl or analyse stage never reported", snap)
+			continue
+		}
+		if crawl.total == 0 || analyse.total != crawl.total {
+			t.Errorf("snapshot %s: analyse total %d, crawl total %d", snap, analyse.total, crawl.total)
+		}
+		if _, persisted := stages["persist/"+snap]; persisted != cached {
+			t.Errorf("snapshot %s: persist stage reported = %v, want %v", snap, persisted, cached)
 		}
 	}
-	if stats != 0 {
-		t.Errorf("CacheStats emitted without a cache dir: %d", stats)
+	want := 0
+	if cached {
+		want = 1
+	}
+	if stats != want {
+		t.Errorf("CacheStats delivered %d times, want %d", stats, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -65,7 +66,7 @@ func TestRunStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 		cfg := DefaultConfig(77, 0.025)
 		cfg.UseHTTP = useHTTP
 		cfg.Workers = workers
-		res, err := RunStudy(cfg)
+		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/analysis"
@@ -28,7 +27,7 @@ func TestRunStudyWarmRerunZeroDecodesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cachedConfig(dir, false)
 
-	cold, err := RunStudy(cfg)
+	cold, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestRunStudyWarmRerunZeroDecodesByteIdentical(t *testing.T) {
 	// share unchanged apps with byte-identical APKs, and a report one
 	// snapshot persists is visible to the other mid-run.
 
-	warm, err := RunStudy(cfg)
+	warm, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +106,11 @@ func TestRunStudyWarmRerunZeroDecodesByteIdentical(t *testing.T) {
 func TestRunStudyWarmRerunHTTP(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cachedConfig(dir, true)
-	cold, err := RunStudy(cfg)
+	cold, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunStudy(cfg)
+	warm, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +130,18 @@ func TestRunStudyScaleUpIncremental(t *testing.T) {
 	dir := t.TempDir()
 	small := cachedConfig(dir, false)
 	small.Scale = 0.02
-	if _, err := RunStudy(small); err != nil {
+	if _, err := Run(context.Background(), small); err != nil {
 		t.Fatal(err)
 	}
 	grown := small
 	grown.Scale = 0.04
-	warm, err := RunStudy(grown)
+	warm, err := Run(context.Background(), grown)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scratch := grown
 	scratch.CacheDir = t.TempDir()
-	cold, err := RunStudy(scratch)
+	cold, err := Run(context.Background(), scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestRunStudyScaleUpIncremental(t *testing.T) {
 func TestRunStudyHealsPoisonedStore(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cachedConfig(dir, false)
-	cold, err := RunStudy(cfg)
+	cold, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestRunStudyHealsPoisonedStore(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir, "analysis")); err != nil {
 		t.Fatal(err)
 	}
-	healed, err := RunStudy(cfg)
+	healed, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("poisoned store must self-heal, got: %v", err)
 	}
@@ -200,76 +199,11 @@ func TestRunStudyHealsPoisonedStore(t *testing.T) {
 		t.Fatal("healed run diverges from the original")
 	}
 	// The heal re-persisted everything: the next run is fully warm again.
-	warm, err := RunStudy(cfg)
+	warm, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Persist.Cache.Decodes != 0 || warm.Persist.ExtractedReports != 0 {
 		t.Fatalf("store not healed: %+v", warm.Persist)
-	}
-}
-
-// TestRunStudyStageProgress checks the staged engine's observability: all
-// three stages report, totals are announced up front, counts never go
-// backwards, and the persist stage only exists for cached runs.
-func TestRunStudyStageProgress(t *testing.T) {
-	type stageState struct {
-		last, total int
-	}
-	var mu sync.Mutex
-	stages := map[string]*stageState{}
-	record := func(stage string, done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		s := stages[stage]
-		if s == nil {
-			s = &stageState{}
-			stages[stage] = s
-		}
-		if done < s.last {
-			t.Errorf("stage %s went backwards: %d after %d", stage, done, s.last)
-		}
-		s.last, s.total = done, total
-	}
-
-	cfg := cachedConfig(t.TempDir(), false)
-	cfg.Progress = record
-	if _, err := RunStudy(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, label := range []string{"2020", "2021"} {
-		for _, prefix := range []string{"crawl-", "analyse-", "persist-"} {
-			s := stages[prefix+label]
-			if s == nil {
-				t.Fatalf("stage %s%s never reported", prefix, label)
-			}
-			if s.last != s.total || s.total == 0 {
-				t.Fatalf("stage %s%s incomplete: %d/%d", prefix, label, s.last, s.total)
-			}
-		}
-		if stages["analyse-"+label].total != stages["crawl-"+label].total {
-			t.Fatalf("analyse-%s total diverges from crawl total", label)
-		}
-	}
-
-	// Without a cache dir there is no persist stage.
-	mu.Lock()
-	stages = map[string]*stageState{}
-	mu.Unlock()
-	plain := DefaultConfig(77, 0.02)
-	plain.UseHTTP = false
-	plain.Progress = record
-	if _, err := RunStudy(plain); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for stage := range stages {
-		if strings.HasPrefix(stage, "persist-") {
-			t.Fatalf("uncached run reported %s", stage)
-		}
-	}
-	if stages["analyse-2021"] == nil {
-		t.Fatal("analyse stage must report for uncached runs too")
 	}
 }

@@ -96,17 +96,6 @@ type Config struct {
 	// concurrently from both snapshot pipelines and must be safe for
 	// concurrent use.
 	OnEvent func(event.Event)
-	// Progress, when non-nil, receives per-stage updates: "crawl-<label>"
-	// during retrieval, "analyse-<label>" as apps are ingested and
-	// "persist-<label>" while corpus snapshots are written (the persist
-	// stage only runs with CacheDir). Each stage opens with a (0, total)
-	// call once its total is known. It may be called concurrently from
-	// both snapshot pipelines.
-	//
-	// Deprecated: consume OnEvent (or gaugenn.Study.Events) instead; this
-	// stringly-typed stream is bridged from the typed events and will not
-	// grow new stages.
-	Progress func(stage string, done, total int)
 }
 
 // DefaultConfig returns a quick-study configuration.
@@ -219,10 +208,10 @@ func SelectBenchModels(c *analysis.Corpus, n int) ([]BenchModel, error) {
 	return out, nil
 }
 
-// RunSpec folds the v1 DeviceRun's positional knobs into one options
-// struct: the device/backend pair plus the job shape. Zero-valued knobs
-// take the agent's defaults (4 threads, batch 1, 2 warmups, 10 runs), so
-// RunSpec{Device: "Q845", Backend: "cpu"} is a complete spec.
+// RunSpec names one on-device benchmark: the device/backend pair plus
+// the job shape. Zero-valued knobs take the agent's defaults (4 threads,
+// batch 1, 2 warmups, 10 runs), so RunSpec{Device: "Q845", Backend:
+// "cpu"} is a complete spec.
 type RunSpec struct {
 	// Device is a Table 1 device model ("A20", "A70", "S21", "Q845",
 	// "Q855", "Q888").
@@ -273,18 +262,6 @@ func Bench(ctx context.Context, spec RunSpec, models []BenchModel) ([]bench.JobR
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// DeviceRun benchmarks a model set on one device/backend via the in-process
-// harness and returns per-model results in input order.
-//
-// Deprecated: use Bench, which takes a context and a RunSpec instead of
-// six positional parameters.
-func DeviceRun(deviceModel, backend string, models []BenchModel, threads, batch, runs int) ([]bench.JobResult, error) {
-	return Bench(context.Background(), RunSpec{
-		Device: deviceModel, Backend: backend,
-		Threads: threads, Batch: batch, Runs: runs,
-	}, models)
 }
 
 // ModelsByTask returns the corpus' retained graphs grouped by task, for the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gaugenn/gaugenn/internal/retry"
 	"github.com/gaugenn/gaugenn/internal/testutil"
 )
 
@@ -72,8 +73,8 @@ func TestCrawlerRunPreCancelled(t *testing.T) {
 // its delay once the context is dead.
 func TestClientRetryRespectsCancellation(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1") // nothing listens: every attempt errors
-	c.Retries = 1000
-	c.RetryDelay = time.Hour // would block for days if cancellation were ignored
+	// Would block for days if cancellation were ignored.
+	c.Retry = &retry.Policy{Attempts: 1001, BaseDelay: time.Hour, Multiplier: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

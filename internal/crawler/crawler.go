@@ -52,16 +52,10 @@ type Client struct {
 	DeviceModel string
 	HTTPClient  *http.Client
 	// Retry shapes the transient-failure ladder (network errors, 5xx,
-	// 429); a 16k-app crawl cannot afford to die on one hiccup. Nil falls
-	// back to the legacy Retries/RetryDelay fields when either is set,
-	// else to retry.Default(). A 429/503 Retry-After header overrides the
+	// 429); a 16k-app crawl cannot afford to die on one hiccup. Nil uses
+	// retry.Default(). A 429/503 Retry-After header overrides the
 	// computed backoff, capped by the policy's MaxDelay.
 	Retry *retry.Policy
-	// Retries and RetryDelay are the v1 retry knobs, preserved verbatim:
-	// Retries extra attempts spaced by a fixed RetryDelay (default 50 ms).
-	// Ignored when Retry is set.
-	Retries    int
-	RetryDelay time.Duration
 	// Breaker, when non-nil, circuit-breaks per BaseURL: once the host
 	// trips it, further requests fail fast with retry.ErrOpen instead of
 	// burning the full ladder against a dead server.
@@ -80,19 +74,11 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
-// policy resolves the effective retry policy: Retry wins, then the legacy
-// Retries/RetryDelay pair (fixed spacing, exactly Retries extra attempts),
-// then the shared default ladder.
+// policy resolves the effective retry policy: Retry, else the shared
+// default ladder.
 func (c *Client) policy() retry.Policy {
 	if c.Retry != nil {
 		return *c.Retry
-	}
-	if c.Retries > 0 || c.RetryDelay > 0 {
-		delay := c.RetryDelay
-		if delay <= 0 {
-			delay = 50 * time.Millisecond
-		}
-		return retry.Policy{Attempts: c.Retries + 1, BaseDelay: delay, Multiplier: 1}
 	}
 	return retry.Default()
 }

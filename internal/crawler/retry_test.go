@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/gaugenn/gaugenn/internal/retry"
 )
 
 // flakyStore fails the first n requests with 500, then serves.
@@ -28,8 +30,7 @@ func flakyStore(t *testing.T, failFirst int64) (*httptest.Server, *atomic.Int64)
 func TestClientRetriesTransientFailures(t *testing.T) {
 	srv, count := flakyStore(t, 2)
 	c := NewClient(srv.URL)
-	c.Retries = 3
-	c.RetryDelay = time.Millisecond
+	c.Retry = &retry.Policy{Attempts: 4, BaseDelay: time.Millisecond, Multiplier: 1}
 	cats, err := c.Categories(context.Background())
 	if err != nil {
 		t.Fatalf("retries should recover: %v", err)
@@ -45,8 +46,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 func TestClientGivesUpAfterRetries(t *testing.T) {
 	srv, count := flakyStore(t, 100)
 	c := NewClient(srv.URL)
-	c.Retries = 2
-	c.RetryDelay = time.Millisecond
+	c.Retry = &retry.Policy{Attempts: 3, BaseDelay: time.Millisecond, Multiplier: 1}
 	if _, err := c.Categories(context.Background()); err == nil {
 		t.Fatal("persistent failure should surface")
 	}
@@ -63,8 +63,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL)
-	c.Retries = 5
-	c.RetryDelay = time.Millisecond
+	c.Retry = &retry.Policy{Attempts: 6, BaseDelay: time.Millisecond, Multiplier: 1}
 	if _, err := c.Categories(context.Background()); err == nil {
 		t.Fatal("400 should fail")
 	}

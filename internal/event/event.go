@@ -1,6 +1,5 @@
-// Package event defines the typed progress stream v2 pipelines emit in
-// place of the v1 stringly-typed Progress callback. Producers (the study
-// engine, the fleet scheduler) call a consumer-supplied func(Event);
+// Package event defines the typed progress stream the study engine and
+// the fleet scheduler emit. Producers call a consumer-supplied func(Event);
 // consumers switch on the concrete variant. The root gaugenn package
 // re-exports the types and exposes a drained-channel view via
 // Study.Events; the tracing layer (internal/obs.Tracer) folds the same
@@ -177,8 +176,8 @@ func (StageWarning) event()  {}
 func (CacheStats) event()    {}
 func (ExecUnit) event()      {}
 
-// StageName renders the legacy v1 stage string ("crawl-2021") for the
-// deprecated Progress callback bridge.
+// StageName renders a stage and its snapshot as one label ("crawl-2021"),
+// as the CLI's progress line shows it.
 func StageName(stage, snapshot string) string {
 	if snapshot == "" {
 		return stage

@@ -10,6 +10,7 @@ import (
 	"github.com/gaugenn/gaugenn/internal/bench"
 	"github.com/gaugenn/gaugenn/internal/nn/zoo"
 	"github.com/gaugenn/gaugenn/internal/power"
+	"github.com/gaugenn/gaugenn/internal/retry"
 	"github.com/gaugenn/gaugenn/internal/soc"
 )
 
@@ -119,8 +120,8 @@ func TestCrashMidJobRequeuesOnAnotherDevice(t *testing.T) {
 
 func TestTransientCrashRecoversOnSameDevice(t *testing.T) {
 	// A single flaky rig (fails once, then works): the job requeues and,
-	// with nobody else eligible... is exhausted. With MaxAttempts allowing
-	// a second try on a second rig, the retry lands there.
+	// with nobody else eligible... is exhausted. With the attempt cap
+	// allowing a second try on a second rig, the retry lands there.
 	flaky := newFakeRunner(t, "flaky", "Q855", 1)
 	backup := newFakeRunner(t, "backup", "Q855", 0)
 	pool, err := NewPool(flaky, backup)
@@ -202,7 +203,8 @@ func TestFailedRunsStayByteIdenticalAcrossPoolSizes(t *testing.T) {
 	}
 }
 
-func TestMaxAttemptsCapsRetries(t *testing.T) {
+func TestRetryAttemptsCapFailover(t *testing.T) {
+	// Four dead rigs would allow four fail-overs; the policy stops at two.
 	runners := make([]Runner, 4)
 	for i := range runners {
 		runners[i] = newFakeRunner(t, fmt.Sprintf("bad%d", i), "Q845", -1)
@@ -213,13 +215,13 @@ func TestMaxAttemptsCapsRetries(t *testing.T) {
 	}
 	m := failureMatrix(t, "Q845")
 	m.Models = m.Models[:1]
-	_, err = pool.Run(context.Background(), m, Config{MaxAttempts: 2})
+	_, err = pool.Run(context.Background(), m, Config{Retry: &retry.Policy{Attempts: 2}})
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("want *ExhaustedError, got %v", err)
 	}
 	if ex.Attempts != 2 {
-		t.Fatalf("attempts = %d, want the MaxAttempts cap of 2", ex.Attempts)
+		t.Fatalf("attempts = %d, want the Retry.Attempts cap of 2", ex.Attempts)
 	}
 }
 

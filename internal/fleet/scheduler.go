@@ -51,16 +51,11 @@ func (e *ExhaustedError) Is(target error) bool { return target == errs.ErrExhaus
 
 // Config tunes one Pool.Run.
 type Config struct {
-	// MaxAttempts caps scheduling attempts per job (0 = one attempt per
-	// runner of the job's device model, or Retry.Attempts when a policy
-	// is set).
-	MaxAttempts int
 	// Retry paces a runner after transport failures: before its next
 	// claim the worker sleeps the policy's backoff for its consecutive
 	// failure count (ctx-aware), so a glitching rig stops hammering its
-	// device. Nil keeps the legacy immediate-retry pacing. The policy's
-	// Attempts also caps per-unit scheduling attempts when MaxAttempts is
-	// unset.
+	// device. Its Attempts caps scheduling attempts per job. Nil retries
+	// immediately, once per runner of the job's device model.
 	Retry *retry.Policy
 	// Breaker, when non-nil, circuit-breaks per runner ID: a rig whose
 	// consecutive transport failures reach the threshold is retired from
@@ -405,16 +400,13 @@ func (p *Pool) Run(ctx context.Context, m Matrix, cfg Config) (*Aggregator, erro
 	// of waiting for a requeue that will never come.
 	stopWatch := context.AfterFunc(ctx, func() { q.cond.Broadcast() })
 	defer stopWatch()
-	// MaxAttempts wins when both caps are set; an explicit retry policy
-	// otherwise lends its attempt budget to the per-unit cap.
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts <= 0 && cfg.Retry != nil && cfg.Retry.Attempts > 0 {
-		maxAttempts = cfg.Retry.Attempts
-	}
+	// The retry policy both paces a failing runner and caps each unit's
+	// scheduling attempts (<= 0: one attempt per eligible runner).
 	var pacing retry.Policy
 	if cfg.Retry != nil {
 		pacing = *cfg.Retry
 	}
+	maxAttempts := pacing.Attempts
 	var wg sync.WaitGroup
 	for _, r := range p.runners {
 		wg.Add(1)

@@ -1,6 +1,7 @@
 package fsck
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -40,7 +41,7 @@ func populatedStore(t *testing.T) string {
 		cfg := core.DefaultConfig(77, 0.02)
 		cfg.CacheDir = seedDir
 		cfg.Resume = true
-		_, seedErr = core.RunStudy(cfg)
+		_, seedErr = core.Run(context.Background(), cfg)
 	})
 	if seedErr != nil {
 		t.Fatalf("populating seed store: %v", seedErr)
@@ -199,7 +200,7 @@ func TestCorruptionDetectFixRoundTrip(t *testing.T) {
 	cfg := core.DefaultConfig(77, 0.02)
 	cfg.CacheDir = dir
 	cfg.Resume = true
-	res, err := core.RunStudy(cfg)
+	res, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("repaired store does not resume: %v", err)
 	}
@@ -288,7 +289,7 @@ func TestAPKRecordCorruptionQuarantined(t *testing.T) {
 	cfg.UseHTTP = false
 	cfg.CacheDir = dir
 	cfg.Resume = true
-	if _, err := core.RunStudy(cfg); err != nil {
+	if _, err := core.Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(dir, Options{})
@@ -328,7 +329,7 @@ func TestAPKRecordCorruptionQuarantined(t *testing.T) {
 			t.Fatalf("corrupt record not quarantined: %v", err)
 		}
 	}
-	if _, err := core.RunStudy(cfg); err != nil {
+	if _, err := core.Run(context.Background(), cfg); err != nil {
 		t.Fatalf("repaired store does not resume: %v", err)
 	}
 	clean, err := Run(dir, Options{})

@@ -1,6 +1,8 @@
 package retry
 
 import (
+	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,18 +18,24 @@ import (
 //
 // A date in the past (or exactly now) parses as a zero wait with ok=true:
 // the server said "retry immediately", which is different from saying
-// nothing. Unparseable or negative values return ok=false, leaving the
-// caller's own backoff in charge. The shed clients of the study service
-// and the crawler both route 429/503 pacing through here into a Policy
-// Hint.
+// nothing. Delta-seconds too large for a time.Duration saturate to the
+// largest one (RFC 9111 §1.2.2) rather than wrapping; the caller's
+// MaxDelay or its own cap bounds the actual wait. Unparseable or negative
+// values return ok=false, leaving the caller's own backoff in charge. The
+// shed clients of the study service and the crawler both route 429/503
+// pacing through here into a Policy Hint.
 func ParseRetryAfter(v string) (time.Duration, bool) {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
+	// ParseInt saturates out-of-range input to ±MaxInt64 with ErrRange.
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs < 0:
 			return 0, false
+		case secs > math.MaxInt64/int64(time.Second):
+			return math.MaxInt64, true
 		}
 		return time.Duration(secs) * time.Second, true
 	}

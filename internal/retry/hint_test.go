@@ -2,6 +2,7 @@ package retry
 
 import (
 	"errors"
+	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -20,6 +21,11 @@ func TestParseRetryAfterDeltaSeconds(t *testing.T) {
 		{"", 0, false},
 		{"soon", 0, false},
 		{"1.5", 0, false}, // RFC 9110 delta-seconds are integral
+		// Past MaxInt64 nanoseconds the wait saturates instead of wrapping
+		// (to about -292 years, or to 290 ms one wrap further).
+		{"9223372037", math.MaxInt64, true},
+		{"18446744074", math.MaxInt64, true},
+		{"99999999999999999999", math.MaxInt64, true}, // beyond int64 itself
 	} {
 		got, ok := ParseRetryAfter(tc.in)
 		if got != tc.want || ok != tc.ok {

@@ -140,7 +140,8 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 				d = p.MaxDelay
 			}
 		}
-		if p.Budget > 0 && time.Since(start)+d > p.Budget {
+		// Compared as a remainder so a saturated hint cannot overflow the sum.
+		if p.Budget > 0 && d > p.Budget-time.Since(start) {
 			metExhaustions.Inc()
 			return last
 		}

@@ -3,6 +3,7 @@ package retry
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -198,18 +199,28 @@ func TestHintFrom(t *testing.T) {
 }
 
 func TestBudgetStopsRetries(t *testing.T) {
-	calls := 0
 	boom := errors.New("slow")
-	p := Policy{Attempts: 100, BaseDelay: time.Hour, Budget: time.Millisecond}
-	err := Do(context.Background(), p, func(context.Context) error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (hour-long wait exceeds 1ms budget)", calls)
+	for _, tc := range []struct {
+		name string
+		p    Policy
+		err  error
+	}{
+		// An hour-long computed wait exceeds a 1 ms budget.
+		{"backoff", Policy{Attempts: 100, BaseDelay: time.Hour, Budget: time.Millisecond}, boom},
+		// The largest Retry-After wait (what ParseRetryAfter saturates to)
+		// must trip the budget, not overflow elapsed+wait and sleep on.
+		{"saturated hint", Policy{Attempts: 3, Budget: time.Hour}, Hint(boom, math.MaxInt64)},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		calls := 0
+		err := Do(ctx, tc.p, func(context.Context) error {
+			calls++
+			return tc.err
+		})
+		cancel()
+		if calls != 1 || !errors.Is(err, boom) || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: calls = %d, err = %v; want one attempt ended by the budget", tc.name, calls, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +25,7 @@ func BenchmarkServeQueries(b *testing.B) {
 	cfg.UseHTTP = false
 	cfg.CacheDir = dir
 	cfg.Resume = true
-	res, err := core.RunStudy(cfg)
+	res, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

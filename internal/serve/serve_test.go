@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,7 +24,7 @@ func persistedStudy(t testing.TB) (*store.Store, string, *core.StudyResult) {
 	cfg.UseHTTP = false
 	cfg.CacheDir = dir
 	cfg.Resume = true
-	res, err := core.RunStudy(cfg)
+	res, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"github.com/gaugenn/gaugenn/internal/event"
 )
 
-// The v2 study API: a context-first, composable surface over the same
-// pipeline RunStudy drives. Construct a Study from functional options,
+// The v2 study API: a context-first, composable surface over the
+// core.Run pipeline. Construct a Study from functional options,
 // optionally subscribe to its typed event stream, then Run it under a
 // context you control:
 //
@@ -29,7 +29,8 @@ import (
 // errors.Is(err, ErrCancelled) (and context.Canceled), errors.As gives
 // the *StageError naming where the run stopped, and a CacheDir-backed
 // store is always left consistent for a later WithResume run. See
-// docs/api.md for the full contract and the v1 migration table.
+// docs/api.md for the full contract and the table mapping the removed v1
+// calls onto this API.
 
 // Sentinel errors, re-exported from the shared taxonomy for errors.Is.
 var (
@@ -222,8 +223,8 @@ func Bench(ctx context.Context, spec RunSpec, models []BenchModel) ([]JobResult,
 	return core.Bench(ctx, spec, models)
 }
 
-// RunSpec is the v2 replacement for DeviceRun's positional parameters;
-// see core.RunSpec.
+// RunSpec names the device, backend and job shape of a Bench call; see
+// core.RunSpec.
 type RunSpec = core.RunSpec
 
 // eventQueue decouples the pipeline from the Events consumer: emits are

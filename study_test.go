@@ -10,7 +10,8 @@ import (
 )
 
 // TestStudyV2EndToEnd drives the whole v2 surface: options, the typed
-// event stream, a cancellable run, and the RunSpec bench path.
+// event stream, a cancellable run, the RunSpec bench path and the device
+// lists.
 func TestStudyV2EndToEnd(t *testing.T) {
 	study := gaugenn.NewStudy(
 		gaugenn.WithSeed(11),
@@ -95,6 +96,9 @@ func TestStudyV2EndToEnd(t *testing.T) {
 	if err != nil || len(out) != len(models) {
 		t.Fatalf("Bench: err=%v results=%d", err, len(out))
 	}
+	if len(gaugenn.Devices()) != 6 || len(gaugenn.HDKs()) != 3 {
+		t.Fatal("device lists")
+	}
 }
 
 // TestStudyV2Cancellation checks the public cancellation contract end to
@@ -134,32 +138,6 @@ func TestStudyV2Cancellation(t *testing.T) {
 		case <-deadline:
 			t.Fatal("event stream not closed after cancellation")
 		}
-	}
-}
-
-// TestV1ShimsMatchV2 pins the compatibility contract: the deprecated
-// RunStudy/Config surface produces the same corpora as the v2 Study.
-func TestV1ShimsMatchV2(t *testing.T) {
-	cfg := gaugenn.DefaultConfig(13, 0.02)
-	cfg.UseHTTP = false
-	v1, err := gaugenn.RunStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := gaugenn.NewStudy(gaugenn.WithSeed(13), gaugenn.WithScale(0.02)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for label, pair := range map[string][2]interface{ TotalModels() int }{
-		"2020": {v1.Corpus20, v2.Corpus20},
-		"2021": {v1.Corpus21, v2.Corpus21},
-	} {
-		if pair[0].TotalModels() != pair[1].TotalModels() {
-			t.Fatalf("snapshot %s: v1 %d models, v2 %d", label, pair[0].TotalModels(), pair[1].TotalModels())
-		}
-	}
-	if v1.Corpus21.Dataset() != v2.Corpus21.Dataset() {
-		t.Fatalf("datasets diverge: %+v vs %+v", v1.Corpus21.Dataset(), v2.Corpus21.Dataset())
 	}
 }
 
