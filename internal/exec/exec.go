@@ -261,6 +261,9 @@ func Compile(g *graph.Graph) (*Program, error) {
 		if err := resolveWeights(&st, l, weightScale, inShape); err != nil {
 			return nil, fmt.Errorf("exec: layer %q: %w", l.Name, err)
 		}
+		if err := checkWeightSizes(&st, &p.tensors[st.in[0]], &p.tensors[st.out]); err != nil {
+			return nil, fmt.Errorf("exec: layer %q: %w", l.Name, err)
+		}
 		p.steps = append(p.steps, st)
 	}
 	for _, out := range g.Outputs {
@@ -328,6 +331,37 @@ func resolveWeights(st *step, l *graph.Layer, weightScale float64, inShape graph
 	}
 	if st.wFloat == nil && st.wRaw == nil {
 		st.wFloat = syntheticKernel(l, inShape)
+	}
+	return nil
+}
+
+// checkWeightSizes rejects a conv, depthwise, transpose-conv or dense
+// layer whose kernel or bias does not hold exactly the values the layer's
+// dimensions index. graph.Validate checks each weight only against its own
+// declared shape, so without this a graph declaring a short kernel would
+// compile and then index past its end in Run.
+func checkWeightSizes(st *step, in, out *tensorInfo) error {
+	a := st.attrs
+	outC := lastDimOf(out.shape)
+	var want int
+	switch st.op {
+	case graph.OpConv2D:
+		want = a.KernelH * a.KernelW * lastDimOf(in.shape) * outC
+	case graph.OpDepthwiseConv2D:
+		want = a.KernelH * a.KernelW * outC // [kh, kw, C, mult], C·mult = outC
+	case graph.OpTransposeConv2D:
+		want = a.KernelH * a.KernelW * outC * lastDimOf(in.shape)
+	case graph.OpDense:
+		_, inF, units := denseDims(in, out)
+		want = inF * units
+	default:
+		return nil
+	}
+	if n := len(st.wFloat) + len(st.wRaw); n != want {
+		return fmt.Errorf("kernel holds %d values, the layer needs %d", n, want)
+	}
+	if st.bFloat != nil && len(st.bFloat) != outC {
+		return fmt.Errorf("bias holds %d values, the layer has %d output channels", len(st.bFloat), outC)
 	}
 	return nil
 }

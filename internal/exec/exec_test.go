@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/errs"
@@ -229,5 +230,79 @@ func TestArenaReuse(t *testing.T) {
 	}
 	if p.floatArena >= sum/2 {
 		t.Errorf("float arena %d elements; want < half the %d-element tensor total (no reuse?)", p.floatArena, sum)
+	}
+}
+
+// TestCompileRejectsMisSizedWeights covers graphs that pass graph.Validate
+// (each weight's bytes match its own declared shape) but whose kernel or
+// bias is too short for the layer: a 3×3 conv from 4 to 8 channels and a
+// dense layer from 16 to 8 features, each with one weight declared at half
+// size, and a depthwise and a transpose conv with half a kernel. Compile must reject them naming the layer, instead of letting Run
+// index past the weight's end; full-size and weight-less (synthetic
+// kernel) layers must still compile and run.
+func TestCompileRejectsMisSizedWeights(t *testing.T) {
+	f32 := func(name string, shape ...int) graph.Weight {
+		s := graph.Shape(shape)
+		return graph.Weight{Name: name, Shape: s, DType: graph.Float32, Data: make([]byte, s.Elements()*4)}
+	}
+	oneLayer := func(in graph.Shape, l graph.Layer) *graph.Graph {
+		l.Inputs, l.Outputs = []string{"x"}, []string{"y"}
+		return &graph.Graph{
+			Name:    "misfit",
+			Inputs:  []graph.Tensor{{Name: "x", Shape: in, DType: graph.Float32}},
+			Outputs: []graph.Tensor{{Name: "y", DType: graph.Float32}},
+			Layers:  []graph.Layer{l},
+		}
+	}
+	conv := func(w ...graph.Weight) *graph.Graph {
+		return oneLayer(graph.Shape{1, 6, 6, 4}, graph.Layer{Name: "conv1", Op: graph.OpConv2D, Weights: w,
+			Attrs: graph.Attrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadSame: true, Filters: 8}})
+	}
+	dense := func(w ...graph.Weight) *graph.Graph {
+		return oneLayer(graph.Shape{1, 16}, graph.Layer{Name: "fc1", Op: graph.OpDense, Weights: w,
+			Attrs: graph.Attrs{Units: 8}})
+	}
+	depthwise := func(w ...graph.Weight) *graph.Graph {
+		return oneLayer(graph.Shape{1, 6, 6, 4}, graph.Layer{Name: "dw1", Op: graph.OpDepthwiseConv2D, Weights: w,
+			Attrs: graph.Attrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadSame: true}})
+	}
+	transpose := func(w ...graph.Weight) *graph.Graph {
+		return oneLayer(graph.Shape{1, 3, 3, 4}, graph.Layer{Name: "up1", Op: graph.OpTransposeConv2D, Weights: w,
+			Attrs: graph.Attrs{KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2, Filters: 8}})
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		wantErr string // "" when the graph must compile and run
+	}{
+		{"conv/short-kernel", conv(f32("k", 3, 3, 2, 8), f32("b", 8)), `layer "conv1": kernel holds 144 values, the layer needs 288`},
+		{"conv/short-bias", conv(f32("k", 3, 3, 4, 8), f32("b", 4)), `layer "conv1": bias holds 4 values, the layer has 8 output channels`},
+		{"dense/short-kernel", dense(f32("k", 8, 8), f32("b", 8)), `layer "fc1": kernel holds 64 values, the layer needs 128`},
+		{"dense/short-bias", dense(f32("k", 16, 8), f32("b", 4)), `layer "fc1": bias holds 4 values, the layer has 8 output channels`},
+		{"depthwise/short-kernel", depthwise(f32("k", 3, 3, 2, 1)), `layer "dw1": kernel holds 18 values, the layer needs 36`},
+		{"transpose/short-kernel", transpose(f32("k", 2, 2, 4, 4), f32("b", 8)), `layer "up1": kernel holds 64 values, the layer needs 128`},
+		{"conv/full", conv(f32("k", 3, 3, 4, 8), f32("b", 8)), ""},
+		{"dense/full", dense(f32("k", 16, 8), f32("b", 8)), ""},
+		{"depthwise/full", depthwise(f32("k", 3, 3, 4, 1), f32("b", 4)), ""},
+		{"transpose/full", transpose(f32("k", 2, 2, 8, 4), f32("b", 8)), ""},
+		{"conv/synthetic", conv(), ""},
+		{"dense/synthetic", dense(), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.g.Validate(); err != nil {
+				t.Fatalf("graph.Validate = %v; the case needs a graph it accepts", err)
+			}
+			p, err := Compile(tc.g)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("Compile = %v, want success", err)
+			case tc.wantErr == "":
+				p.NewInstance().Run(1)
+			case err == nil:
+				t.Fatalf("Compile accepted the graph, want error %q", tc.wantErr)
+			case !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("Compile = %v, want it to contain %q", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -14,9 +14,11 @@ import (
 //     weights [inF, units] row-major.
 //   - dst and src never alias (the arena planner keeps a layer's output
 //     disjoint from its live inputs).
-//   - Accumulation order is fixed (kh, kw, ic innermost-to-outermost as
-//     written), so results are bitwise reproducible across runs, workers
-//     and pool sizes — the property the determinism tests pin down.
+//   - Each output's summation order is fixed: loops may be interchanged
+//     and output channels tiled, but no sum is split or reordered, so
+//     results are bitwise reproducible across runs, workers and pool
+//     sizes — the property the determinism and golden-digest tests pin
+//     down.
 //   - Kernels never allocate; any staging space comes from the caller.
 //
 // SAME padding follows the TensorFlow convention: total padding
@@ -45,43 +47,154 @@ func dilationOf(a graph.Attrs) int {
 	return 1
 }
 
-// conv2dF32 is the direct (non-im2col) convolution. One fused loop nest:
-// for every output element, accumulate kernel × input-window products.
+// The MAC kernels below (conv2d, depthwise and dense, each over fp32
+// weights (F32), raw int8 weights (W8) and int8 activations with int8
+// weights (Q8)) run the output channel innermost: for one output pixel,
+// each valid input tap is broadcast against that tap's contiguous weight
+// row into the pixel's accumulators, so weights stream at unit stride and
+// every input value is loaded once per row rather than once per output.
+// Each fp32 output still sums exactly the products the one-output-at-a-time
+// loop sums, in its order — starting from +0, over (kh, kw, ic) for conv,
+// (kh, kw) for depthwise and f for dense, then the W8 weight scale, then
+// the bias — so the interchange moves no output bit; int32 sums are exact
+// in any order. kernels_ref_test.go keeps that scalar loop as the oracle.
+
+// convTile is how many output channels conv2dF32 sums at once in
+// registers; the remaining outC mod convTile accumulate in dst.
+const convTile = 8
+
+// qBlock is the size of the stack block of int32 sums the Q8 kernels fill:
+// output channels are summed qBlock at a time.
+const qBlock = 256
+
+// tapRange returns the kernel taps [k0, k1) whose input coordinate
+// origin + k·dil lies in [0, size); the taps outside read padding.
+func tapRange(origin, dil, k, size int) (k0, k1 int) {
+	for k0 < k && origin+k0*dil < 0 {
+		k0++
+	}
+	k1 = k
+	for k1 > k0 && origin+(k1-1)*dil >= size {
+		k1--
+	}
+	return k0, k1
+}
+
+// quantFlip returns the mask and offset that read a quantized activation
+// byte b as its zero-point-corrected value int32(int8(b^flip)) + off
+// without a branch: uint8 b equals int8(b^0x80) + 128.
+func quantFlip(unsigned bool, zp int32) (flip byte, off int32) {
+	if unsigned {
+		return 0x80, 128 - zp
+	}
+	return 0, -zp
+}
+
+// addBias adds bias (nil for none) to the sums in y.
+func addBias(y, bias []float32) {
+	if bias != nil {
+		for i, b := range bias[:len(y)] {
+			y[i] += b
+		}
+	}
+}
+
+// w8Epilogue rescales hybrid sums by the weight scale and adds the bias.
+func w8Epilogue(y, bias []float32, wScale float32) {
+	for i := range y {
+		y[i] *= wScale
+	}
+	addBias(y, bias)
+}
+
+// q8Epilogue writes real = sum · scale (+ bias[base+j]) for one block of
+// int32 sums.
+func q8Epilogue(y []float32, sums []int32, bias []float32, base int, scale float32) {
+	y = y[:len(sums)]
+	for j, s := range sums {
+		r := float32(s) * scale
+		if bias != nil {
+			r += bias[base+j]
+		}
+		y[j] = r
+	}
+}
+
+// conv2dF32 is the direct (non-im2col) convolution. Output channels are
+// summed convTile at a time in registers, the last outC mod convTile in
+// dst.
 func conv2dF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
 	dil := dilationOf(a)
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
+	tapW := inC * outC // weights per kernel tap
 	for n := 0; n < in[0]; n++ {
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
+			ih0 := oh*a.StrideH - padT
+			kh0, kh1 := tapRange(ih0, dil, a.KernelH, inH)
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for oc := 0; oc < outC; oc++ {
-					var acc float32
-					for kh := 0; kh < a.KernelH; kh++ {
-						ih := oh*a.StrideH - padT + kh*dil
-						if ih < 0 || ih >= inH {
-							continue
-						}
-						for kw := 0; kw < a.KernelW; kw++ {
-							iw := ow*a.StrideW - padL + kw*dil
-							if iw < 0 || iw >= inW {
-								continue
-							}
-							si := (ih*inW + iw) * inC
-							wi := ((kh*a.KernelW+kw)*inC)*outC + oc
-							for ic := 0; ic < inC; ic++ {
-								acc += srcN[si+ic] * w[wi+ic*outC]
+				iw0 := ow*a.StrideW - padL
+				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				y := dstN[(oh*outW+ow)*outC:][:outC]
+				oc := 0
+				for ; oc+convTile <= outC; oc += convTile {
+					var s0, s1, s2, s3, s4, s5, s6, s7 float32
+					for kh := kh0; kh < kh1; kh++ {
+						for kw := kw0; kw < kw1; kw++ {
+							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+							wi := (kh*a.KernelW+kw)*tapW + oc
+							for _, v := range x {
+								r := w[wi : wi+convTile : wi+convTile]
+								wi += outC
+								s0 += v * r[0]
+								s1 += v * r[1]
+								s2 += v * r[2]
+								s3 += v * r[3]
+								s4 += v * r[4]
+								s5 += v * r[5]
+								s6 += v * r[6]
+								s7 += v * r[7]
 							}
 						}
 					}
 					if bias != nil {
-						acc += bias[oc]
+						b := bias[oc : oc+convTile : oc+convTile]
+						s0 += b[0]
+						s1 += b[1]
+						s2 += b[2]
+						s3 += b[3]
+						s4 += b[4]
+						s5 += b[5]
+						s6 += b[6]
+						s7 += b[7]
 					}
-					dstN[do+oc] = acc
+					t := y[oc : oc+convTile : oc+convTile]
+					t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = s0, s1, s2, s3, s4, s5, s6, s7
+				}
+				if oc == outC {
+					continue
+				}
+				t := y[oc:]
+				clear(t)
+				for kh := kh0; kh < kh1; kh++ {
+					for kw := kw0; kw < kw1; kw++ {
+						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+						wi := (kh*a.KernelW+kw)*tapW + oc
+						for _, v := range x {
+							r := w[wi:][:len(t)]
+							wi += outC
+							for j, wv := range r {
+								t[j] += v * wv
+							}
+						}
+					}
+				}
+				if bias != nil {
+					addBias(t, bias[oc:])
 				}
 			}
 		}
@@ -90,106 +203,96 @@ func conv2dF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) 
 
 // conv2dW8 is the hybrid variant: float activations against the graph's
 // raw int8 weight bytes (read in place, never copied), rescaled by the
-// per-tensor weight scale in the epilogue.
+// per-tensor weight scale in the epilogue. Sums accumulate in dst.
 func conv2dW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
 	dil := dilationOf(a)
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
+	tapW := inC * outC
 	for n := 0; n < in[0]; n++ {
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
+			ih0 := oh*a.StrideH - padT
+			kh0, kh1 := tapRange(ih0, dil, a.KernelH, inH)
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for oc := 0; oc < outC; oc++ {
-					var acc float32
-					for kh := 0; kh < a.KernelH; kh++ {
-						ih := oh*a.StrideH - padT + kh*dil
-						if ih < 0 || ih >= inH {
-							continue
-						}
-						for kw := 0; kw < a.KernelW; kw++ {
-							iw := ow*a.StrideW - padL + kw*dil
-							if iw < 0 || iw >= inW {
-								continue
-							}
-							si := (ih*inW + iw) * inC
-							wi := ((kh*a.KernelW+kw)*inC)*outC + oc
-							for ic := 0; ic < inC; ic++ {
-								acc += srcN[si+ic] * float32(int8(w[wi+ic*outC]))
+				iw0 := ow*a.StrideW - padL
+				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				y := dstN[(oh*outW+ow)*outC:][:outC]
+				clear(y)
+				for kh := kh0; kh < kh1; kh++ {
+					for kw := kw0; kw < kw1; kw++ {
+						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+						wi := (kh*a.KernelW + kw) * tapW
+						for _, v := range x {
+							r := w[wi:][:len(y)]
+							wi += outC
+							for oc, wb := range r {
+								y[oc] += v * float32(int8(wb))
 							}
 						}
 					}
-					acc *= wScale
-					if bias != nil {
-						acc += bias[oc]
-					}
-					dstN[do+oc] = acc
 				}
+				w8Epilogue(y, bias, wScale)
 			}
 		}
 	}
 }
 
 // conv2dQ8 is the full int8 path: integer MAC over quantized activations
-// and raw int8 weight bytes, with a float epilogue
-// real = acc · inScale · wScale + bias staged into dst (caller-provided
-// float scratch) for dynamic requantization.
+// and raw int8 weight bytes into a stack block of int32 sums, with a float
+// epilogue real = acc · inScale · wScale + bias staged into dst
+// (caller-provided float scratch) for dynamic requantization.
 func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
 	dil := dilationOf(a)
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
+	tapW := inC * outC
+	flip, off := quantFlip(srcUnsigned, srcZP)
+	var acc [qBlock]int32
 	for n := 0; n < in[0]; n++ {
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
+			ih0 := oh*a.StrideH - padT
+			kh0, kh1 := tapRange(ih0, dil, a.KernelH, inH)
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for oc := 0; oc < outC; oc++ {
-					var acc int32
-					for kh := 0; kh < a.KernelH; kh++ {
-						ih := oh*a.StrideH - padT + kh*dil
-						if ih < 0 || ih >= inH {
-							continue
-						}
-						for kw := 0; kw < a.KernelW; kw++ {
-							iw := ow*a.StrideW - padL + kw*dil
-							if iw < 0 || iw >= inW {
-								continue
-							}
-							si := (ih*inW + iw) * inC
-							wi := ((kh*a.KernelW+kw)*inC)*outC + oc
-							for ic := 0; ic < inC; ic++ {
-								acc += quantVal(srcN[si+ic], srcUnsigned, srcZP) * int32(int8(w[wi+ic*outC]))
+				iw0 := ow*a.StrideW - padL
+				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				y := dstN[(oh*outW+ow)*outC:][:outC]
+				for oc := 0; oc < outC; oc += qBlock {
+					sums := acc[:min(qBlock, outC-oc)]
+					clear(sums)
+					for kh := kh0; kh < kh1; kh++ {
+						for kw := kw0; kw < kw1; kw++ {
+							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+							wi := (kh*a.KernelW+kw)*tapW + oc
+							for _, b := range x {
+								if q := int32(int8(b^flip)) + off; q != 0 {
+									r := w[wi:][:len(sums)]
+									for j, wb := range r {
+										sums[j] += q * int32(int8(wb))
+									}
+								}
+								wi += outC
 							}
 						}
 					}
-					r := float32(acc) * outScale
-					if bias != nil {
-						r += bias[oc]
-					}
-					dstN[do+oc] = r
+					q8Epilogue(y[oc:], sums, bias, oc, outScale)
 				}
 			}
 		}
 	}
 }
 
-// quantVal reads one quantized activation byte as a zero-point-corrected
-// signed value.
-func quantVal(b byte, unsigned bool, zp int32) int32 {
-	if unsigned {
-		return int32(b) - zp
-	}
-	return int32(int8(b)) - zp
-}
-
 // dwConvF32 is depthwise convolution: each input channel convolved with its
-// own kernel column; output channel c*mult+m.
+// own kernel column; output channel c*mult+m. A tap's weights
+// [kh, kw, :, :] are one contiguous row over the output channels; sums
+// accumulate in dst.
 func dwConvF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
@@ -201,31 +304,30 @@ func dwConvF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) 
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
+			ih0 := oh*a.StrideH - padT
+			kh0, kh1 := tapRange(ih0, dil, a.KernelH, inH)
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for c := 0; c < inC; c++ {
-					for m := 0; m < mult; m++ {
-						var acc float32
-						for kh := 0; kh < a.KernelH; kh++ {
-							ih := oh*a.StrideH - padT + kh*dil
-							if ih < 0 || ih >= inH {
-								continue
+				iw0 := ow*a.StrideW - padL
+				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				y := dstN[(oh*outW+ow)*outC:][:outC]
+				clear(y)
+				for kh := kh0; kh < kh1; kh++ {
+					for kw := kw0; kw < kw1; kw++ {
+						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+						r := w[(kh*a.KernelW+kw)*outC:][:len(y)]
+						if mult == 1 {
+							x = x[:len(y)]
+							for c, wv := range r {
+								y[c] += x[c] * wv
 							}
-							for kw := 0; kw < a.KernelW; kw++ {
-								iw := ow*a.StrideW - padL + kw*dil
-								if iw < 0 || iw >= inW {
-									continue
-								}
-								acc += srcN[(ih*inW+iw)*inC+c] * w[((kh*a.KernelW+kw)*inC+c)*mult+m]
-							}
+							continue
 						}
-						oc := c*mult + m
-						if bias != nil {
-							acc += bias[oc]
+						for oc, wv := range r {
+							y[oc] += x[oc/mult] * wv
 						}
-						dstN[do+oc] = acc
 					}
 				}
+				addBias(y, bias)
 			}
 		}
 	}
@@ -244,39 +346,37 @@ func dwConvW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
+			ih0 := oh*a.StrideH - padT
+			kh0, kh1 := tapRange(ih0, dil, a.KernelH, inH)
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for c := 0; c < inC; c++ {
-					for m := 0; m < mult; m++ {
-						var acc float32
-						for kh := 0; kh < a.KernelH; kh++ {
-							ih := oh*a.StrideH - padT + kh*dil
-							if ih < 0 || ih >= inH {
-								continue
+				iw0 := ow*a.StrideW - padL
+				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				y := dstN[(oh*outW+ow)*outC:][:outC]
+				clear(y)
+				for kh := kh0; kh < kh1; kh++ {
+					for kw := kw0; kw < kw1; kw++ {
+						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+						r := w[(kh*a.KernelW+kw)*outC:][:len(y)]
+						if mult == 1 {
+							x = x[:len(y)]
+							for c, wb := range r {
+								y[c] += x[c] * float32(int8(wb))
 							}
-							for kw := 0; kw < a.KernelW; kw++ {
-								iw := ow*a.StrideW - padL + kw*dil
-								if iw < 0 || iw >= inW {
-									continue
-								}
-								acc += srcN[(ih*inW+iw)*inC+c] * float32(int8(w[((kh*a.KernelW+kw)*inC+c)*mult+m]))
-							}
+							continue
 						}
-						oc := c*mult + m
-						acc *= wScale
-						if bias != nil {
-							acc += bias[oc]
+						for oc, wb := range r {
+							y[oc] += x[oc/mult] * float32(int8(wb))
 						}
-						dstN[do+oc] = acc
 					}
 				}
+				w8Epilogue(y, bias, wScale)
 			}
 		}
 	}
 }
 
-// dwConvQ8 is the full int8 depthwise path (integer MAC, float epilogue
-// into scratch).
+// dwConvQ8 is the full int8 depthwise path (integer MAC into a stack block
+// of int32 sums, float epilogue into scratch).
 func dwConvQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
@@ -284,56 +384,58 @@ func dwConvQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte
 	dil := dilationOf(a)
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
+	flip, off := quantFlip(srcUnsigned, srcZP)
+	var acc [qBlock]int32
 	for n := 0; n < in[0]; n++ {
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
+			ih0 := oh*a.StrideH - padT
+			kh0, kh1 := tapRange(ih0, dil, a.KernelH, inH)
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for c := 0; c < inC; c++ {
-					for m := 0; m < mult; m++ {
-						var acc int32
-						for kh := 0; kh < a.KernelH; kh++ {
-							ih := oh*a.StrideH - padT + kh*dil
-							if ih < 0 || ih >= inH {
+				iw0 := ow*a.StrideW - padL
+				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				y := dstN[(oh*outW+ow)*outC:][:outC]
+				for oc := 0; oc < outC; oc += qBlock {
+					sums := acc[:min(qBlock, outC-oc)]
+					clear(sums)
+					for kh := kh0; kh < kh1; kh++ {
+						for kw := kw0; kw < kw1; kw++ {
+							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+							r := w[(kh*a.KernelW+kw)*outC+oc:][:len(sums)]
+							if mult == 1 {
+								xs := x[oc:][:len(sums)]
+								for j, wb := range r {
+									sums[j] += (int32(int8(xs[j]^flip)) + off) * int32(int8(wb))
+								}
 								continue
 							}
-							for kw := 0; kw < a.KernelW; kw++ {
-								iw := ow*a.StrideW - padL + kw*dil
-								if iw < 0 || iw >= inW {
-									continue
-								}
-								acc += quantVal(srcN[(ih*inW+iw)*inC+c], srcUnsigned, srcZP) * int32(int8(w[((kh*a.KernelW+kw)*inC+c)*mult+m]))
+							for j, wb := range r {
+								sums[j] += (int32(int8(x[(oc+j)/mult]^flip)) + off) * int32(int8(wb))
 							}
 						}
-						oc := c*mult + m
-						r := float32(acc) * outScale
-						if bias != nil {
-							r += bias[oc]
-						}
-						dstN[do+oc] = r
 					}
+					q8Epilogue(y[oc:], sums, bias, oc, outScale)
 				}
 			}
 		}
 	}
 }
 
-// denseF32 is the fully connected layer over flattened features.
+// denseF32 is the fully connected layer over flattened features: each
+// feature is broadcast against its weight row into the outputs in dst.
 func denseF32(dst, src, w, bias []float32, batch, inF, units int) {
 	for n := 0; n < batch; n++ {
 		x := src[n*inF : (n+1)*inF]
 		y := dst[n*units : (n+1)*units]
-		for u := 0; u < units; u++ {
-			var acc float32
-			for f := 0; f < inF; f++ {
-				acc += x[f] * w[f*units+u]
+		clear(y)
+		for f, v := range x {
+			r := w[f*units:][:len(y)]
+			for u, wv := range r {
+				y[u] += v * wv
 			}
-			if bias != nil {
-				acc += bias[u]
-			}
-			y[u] = acc
 		}
+		addBias(y, bias)
 	}
 }
 
@@ -341,34 +443,35 @@ func denseW8(dst, src []float32, w []byte, bias []float32, wScale float32, batch
 	for n := 0; n < batch; n++ {
 		x := src[n*inF : (n+1)*inF]
 		y := dst[n*units : (n+1)*units]
-		for u := 0; u < units; u++ {
-			var acc float32
-			for f := 0; f < inF; f++ {
-				acc += x[f] * float32(int8(w[f*units+u]))
+		clear(y)
+		for f, v := range x {
+			r := w[f*units:][:len(y)]
+			for u, wb := range r {
+				y[u] += v * float32(int8(wb))
 			}
-			acc *= wScale
-			if bias != nil {
-				acc += bias[u]
-			}
-			y[u] = acc
 		}
+		w8Epilogue(y, bias, wScale)
 	}
 }
 
 func denseQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, batch, inF, units int) {
+	flip, off := quantFlip(srcUnsigned, srcZP)
+	var acc [qBlock]int32
 	for n := 0; n < batch; n++ {
 		x := src[n*inF : (n+1)*inF]
 		y := dst[n*units : (n+1)*units]
-		for u := 0; u < units; u++ {
-			var acc int32
-			for f := 0; f < inF; f++ {
-				acc += quantVal(x[f], srcUnsigned, srcZP) * int32(int8(w[f*units+u]))
+		for u := 0; u < units; u += qBlock {
+			sums := acc[:min(qBlock, units-u)]
+			clear(sums)
+			for f, b := range x {
+				if q := int32(int8(b^flip)) + off; q != 0 {
+					r := w[f*units+u:][:len(sums)]
+					for j, wb := range r {
+						sums[j] += q * int32(int8(wb))
+					}
+				}
 			}
-			r := float32(acc) * outScale
-			if bias != nil {
-				r += bias[u]
-			}
-			y[u] = r
+			q8Epilogue(y[u:], sums, bias, u, outScale)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/nn/graph"
@@ -258,4 +260,193 @@ func TestFloat16Decode(t *testing.T) {
 	if got[3] <= 0 || got[3] > 1e-7 {
 		t.Errorf("subnormal decoded to %v", got[3])
 	}
+}
+
+// The oracle test's kernel pairs: each production MAC kernel with its
+// scalar reference from kernels_ref_test.go.
+type (
+	f32Conv func(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs)
+	w8Conv  func(dst, src []float32, w []byte, bias []float32, wScale float32, in, out graph.Shape, a graph.Attrs)
+	q8Conv  func(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs)
+)
+
+// TestKernelsMatchScalarOracle runs every MAC kernel and its scalar oracle
+// on seeded random data and requires the outputs to be bit-identical: the
+// output-channel-innermost loops must keep every fp32 sum's order, so a
+// tolerance would hide exactly the change this test exists to catch.
+func TestKernelsMatchScalarOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const wScale, outScale = 0.0123, 0.00071
+	// The Q8 kernels run on int8 and uint8 activations, each with a
+	// non-zero zero-point.
+	quantInputs := []struct {
+		name     string
+		unsigned bool
+		zp       int32
+	}{
+		{"int8", false, 7},
+		{"uint8", true, 121},
+	}
+
+	convs := []struct {
+		op          graph.OpType
+		f32, f32Ref f32Conv
+		w8, w8Ref   w8Conv
+		q8, q8Ref   q8Conv
+	}{
+		{graph.OpConv2D, conv2dF32, conv2dF32Ref, conv2dW8, conv2dW8Ref, conv2dQ8, conv2dQ8Ref},
+		{graph.OpDepthwiseConv2D, dwConvF32, dwConvF32Ref, dwConvW8, dwConvW8Ref, dwConvQ8, dwConvQ8Ref},
+	}
+	for _, tc := range []struct {
+		name          string
+		n, h, w, c    int
+		kh, kw        int
+		filters, mult int
+		stride, dil   int
+		pad           string // "same", "valid" or "explicit"
+		bias          bool
+	}{
+		{"1x1/valid/inC1/outC1", 1, 4, 5, 1, 1, 1, 1, 1, 1, 1, "valid", true},
+		{"3x3/same/inC3/outC7", 1, 6, 7, 3, 3, 3, 7, 1, 1, 1, "same", false},
+		{"3x3/same/stride2/inC5/outC9/mult2", 1, 7, 6, 5, 3, 3, 9, 2, 2, 1, "same", true},
+		{"3x2/explicit/dilation2/outC24", 1, 9, 8, 3, 3, 2, 24, 1, 1, 2, "explicit", true},
+		{"3x3/valid/stride2/batch2/outC24/mult2", 2, 8, 9, 7, 3, 3, 24, 2, 2, 1, "valid", false},
+		{"5x5/same/outC300", 1, 5, 4, 3, 5, 5, 300, 1, 1, 1, "same", true},
+		{"3x3/same/inC300/outC9", 1, 4, 4, 300, 3, 3, 9, 1, 1, 1, "same", true},
+		{"3x3/same/stride2/dilation2/batch2/inC1", 2, 9, 9, 1, 3, 3, 17, 2, 2, 2, "same", false},
+	} {
+		a := graph.Attrs{
+			KernelH: tc.kh, KernelW: tc.kw, StrideH: tc.stride, StrideW: tc.stride,
+			Dilation: tc.dil, PadSame: tc.pad == "same", Filters: tc.filters, DepthMult: tc.mult,
+		}
+		if tc.pad == "explicit" {
+			a.PadH, a.PadW = 2, 1
+		}
+		in := graph.Shape{tc.n, tc.h, tc.w, tc.c}
+		for _, k := range convs {
+			out := inferOut(t, k.op, in, a)
+			nw := tc.kh * tc.kw * tc.c * out[3] // HWIO and [kh, kw, C, mult] alike
+			if k.op == graph.OpDepthwiseConv2D {
+				nw = tc.kh * tc.kw * out[3]
+			}
+			var bias []float32
+			if tc.bias {
+				bias = randFloats(rng, out[3])
+			}
+			x, wf, wq := randFloats(rng, int(in.Elements())), randFloats(rng, nw), randBytes(rng, nw, 0)
+			name := k.op.String() + "/" + tc.name
+			n := int(out.Elements())
+			matchOracle(t, name+"/F32", n, func(dst []float32, ref bool) {
+				pick(k.f32, k.f32Ref, ref)(dst, x, wf, bias, in, out, a)
+			})
+			matchOracle(t, name+"/W8", n, func(dst []float32, ref bool) {
+				pick(k.w8, k.w8Ref, ref)(dst, x, wq, bias, wScale, in, out, a)
+			})
+			for _, qi := range quantInputs {
+				xq := randBytes(rng, len(x), byte(qi.zp))
+				matchOracle(t, name+"/Q8/"+qi.name, n, func(dst []float32, ref bool) {
+					pick(k.q8, k.q8Ref, ref)(dst, xq, qi.zp, qi.unsigned, wq, bias, outScale, in, out, a)
+				})
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		batch, inF, units int
+		bias              bool
+	}{
+		{1, 1, 1, true},
+		{2, 7, 9, false},
+		{1, 13, 24, true},
+		{2, 5, 300, true},
+		{1, 300, 7, false},
+	} {
+		name := fmt.Sprintf("dense/batch%d/inF%d/units%d", tc.batch, tc.inF, tc.units)
+		var bias []float32
+		if tc.bias {
+			bias = randFloats(rng, tc.units)
+		}
+		x := randFloats(rng, tc.batch*tc.inF)
+		wf, wq := randFloats(rng, tc.inF*tc.units), randBytes(rng, tc.inF*tc.units, 0)
+		n := tc.batch * tc.units
+		matchOracle(t, name+"/F32", n, func(dst []float32, ref bool) {
+			pick(denseF32, denseF32Ref, ref)(dst, x, wf, bias, tc.batch, tc.inF, tc.units)
+		})
+		matchOracle(t, name+"/W8", n, func(dst []float32, ref bool) {
+			pick(denseW8, denseW8Ref, ref)(dst, x, wq, bias, wScale, tc.batch, tc.inF, tc.units)
+		})
+		for _, qi := range quantInputs {
+			xq := randBytes(rng, len(x), byte(qi.zp))
+			matchOracle(t, name+"/Q8/"+qi.name, n, func(dst []float32, ref bool) {
+				pick(denseQ8, denseQ8Ref, ref)(dst, xq, qi.zp, qi.unsigned, wq, bias, outScale, tc.batch, tc.inF, tc.units)
+			})
+		}
+	}
+}
+
+func pick[F any](kernel, oracle F, ref bool) F {
+	if ref {
+		return oracle
+	}
+	return kernel
+}
+
+// matchOracle runs a kernel and its oracle into NaN-filled buffers of n
+// elements and compares the results bit for bit.
+func matchOracle(t *testing.T, name string, n int, run func(dst []float32, ref bool)) {
+	t.Helper()
+	got, want := make([]float32, n), make([]float32, n)
+	for i := range got {
+		got[i], want[i] = float32(math.NaN()), float32(math.NaN())
+	}
+	run(got, false)
+	run(want, true)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Errorf("%s[%d] = %v (%#08x), oracle %v (%#08x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			return
+		}
+	}
+}
+
+// inferOut is the output shape shape inference gives a one-layer graph.
+func inferOut(t *testing.T, op graph.OpType, in graph.Shape, a graph.Attrs) graph.Shape {
+	t.Helper()
+	g := &graph.Graph{
+		Name:   "oracle",
+		Inputs: []graph.Tensor{{Name: "x", Shape: in, DType: graph.Float32}},
+		Layers: []graph.Layer{{Name: "l", Op: op, Inputs: []string{"x"}, Outputs: []string{"y"}, Attrs: a}},
+	}
+	env, err := g.InferShapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env["y"].Shape
+}
+
+// randFloats draws n values uniform in [-1, 1), a fifth of them exactly 0
+// (as after a ReLU).
+func randFloats(rng *rand.Rand, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		if rng.Intn(5) > 0 {
+			out[i] = rng.Float32()*2 - 1
+		}
+	}
+	return out
+}
+
+// randBytes draws n random bytes, a quarter of them equal to zero (the
+// quantized zero-point, so the Q8 kernels meet zero-valued taps).
+func randBytes(rng *rand.Rand, n int, zero byte) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		if rng.Intn(4) > 0 {
+			out[i] = byte(rng.Intn(256))
+		} else {
+			out[i] = zero
+		}
+	}
+	return out
 }

@@ -199,17 +199,22 @@ func inferLayer(l *Layer, env map[string]Tensor) ([]Tensor, error) {
 		}
 		out := make(Shape, len(a.Size))
 		for i, d := range a.Size {
+			begin := 0
+			if i < len(a.Begin) {
+				begin = a.Begin[i]
+			}
 			if d == -1 {
-				begin := 0
-				if i < len(a.Begin) {
-					begin = a.Begin[i]
-				}
 				out[i] = x.Shape[i] - begin
 			} else {
 				out[i] = d
 			}
 			if out[i] <= 0 || out[i] > x.Shape[i] {
 				return nil, fmt.Errorf("slice dim %d size %d invalid for input %d", i, out[i], x.Shape[i])
+			}
+			// The window [begin, begin+size) must lie inside the input:
+			// the kernel copies it without clamping.
+			if begin < 0 || begin+out[i] > x.Shape[i] {
+				return nil, fmt.Errorf("slice dim %d window [%d, %d) runs outside input %d", i, begin, begin+out[i], x.Shape[i])
 			}
 		}
 		return []Tensor{{Shape: out, DType: x.DType}}, nil

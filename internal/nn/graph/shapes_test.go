@@ -101,6 +101,18 @@ func TestInferLayerShapes(t *testing.T) {
 			ins:   []Tensor{{Shape: Shape{1, 8, 8, 4}}},
 			attrs: Attrs{Size: []int{1, 4, 4, 4}},
 			want:  Shape{1, 4, 4, 4}},
+		{name: "slice window past the input end", op: OpSlice,
+			ins:     []Tensor{{Shape: Shape{2, 10}}},
+			attrs:   Attrs{Begin: []int{0, 5}, Size: []int{1, 8}},
+			wantErr: true},
+		{name: "slice negative begin", op: OpSlice,
+			ins:     []Tensor{{Shape: Shape{2, 10}}},
+			attrs:   Attrs{Begin: []int{0, -3}, Size: []int{1, 8}},
+			wantErr: true},
+		{name: "slice window ending at the input end", op: OpSlice,
+			ins:   []Tensor{{Shape: Shape{2, 10}}},
+			attrs: Attrs{Begin: []int{1, 2}, Size: []int{1, 8}},
+			want:  Shape{1, 8}},
 		{name: "resize bilinear", op: OpResizeBilinear,
 			ins:   []Tensor{{Shape: Shape{1, 8, 8, 4}}},
 			attrs: Attrs{TargetH: 16, TargetW: 16},
