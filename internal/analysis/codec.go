@@ -24,9 +24,9 @@ type corpusWire struct {
 }
 
 // uniqueWire deliberately carries no graph: decoded graphs live in the
-// store's graph CAS keyed by this same checksum (see LoadCorpusGraphs),
-// so corpus snapshots stay small and re-encoding one costs no weight-byte
-// traffic.
+// store's graph CAS keyed by this same checksum (read back by keepGraphs
+// warm runs and `gaugenn exec -checksum`), so corpus snapshots stay small
+// and re-encoding one costs no weight-byte traffic.
 type uniqueWire struct {
 	Checksum  graph.Checksum    `json:"checksum"`
 	Name      string            `json:"name"`

@@ -310,19 +310,3 @@ func LoadModelSummary(st *store.Store, sum graph.Checksum) (*ModelSummary, bool,
 		HasGraph:       w.HasGraph,
 	}, true, nil
 }
-
-// LoadCorpusGraphs attaches persisted graphs to a store-loaded corpus:
-// corpus snapshots reference graphs by checksum instead of embedding
-// them, so workloads that need the models themselves (bench selection,
-// fleet matrices) hydrate them from the graph CAS on demand. Uniques
-// whose graph was never persisted are left as-is.
-func LoadCorpusGraphs(st *store.Store, c *Corpus) {
-	for _, u := range c.SortedUniques() {
-		if u.Graph != nil {
-			continue
-		}
-		if g, ok := loadGraphBlob(st, u.Checksum); ok {
-			u.Graph = g
-		}
-	}
-}

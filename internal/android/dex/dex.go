@@ -7,8 +7,9 @@
 // The binary layout follows the real format's spirit — a versioned magic,
 // a deduplicated string table, then class definitions whose method bodies
 // reference string-table entries for every invoked method — which is all
-// the API-usage analysis needs. Baksmali renders the same information as
-// smali text for the string-matching detector.
+// the API-usage analysis needs. The pipeline indexes it with ParseRaw;
+// Decode and Baksmali, which renders the same information as smali text,
+// are the test references that the zero-copy scanner is checked against.
 package dex
 
 import (
@@ -122,7 +123,9 @@ func IsDex(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == string(Magic)
 }
 
-// Decode parses an encoded dex.
+// Decode parses an encoded dex into its classes. It is a test reference:
+// tests check ParseRaw and extraction's zero-copy scanner against it, and
+// no binary calls it.
 func Decode(data []byte) (*Dex, error) {
 	if !IsDex(data) {
 		return nil, fmt.Errorf("dex: bad magic")
@@ -155,6 +158,9 @@ func Decode(data []byte) (*Dex, error) {
 	if nstr > 1<<22 {
 		return nil, fmt.Errorf("dex: implausible string count %d", nstr)
 	}
+	if err := checkCount("strings", nstr, minStringBytes, len(data)-off); err != nil {
+		return nil, err
+	}
 	table := make([]string, nstr)
 	for i := range table {
 		if table[i], err = rstr(); err != nil {
@@ -173,6 +179,9 @@ func Decode(data []byte) (*Dex, error) {
 	}
 	if nclasses > 1<<20 {
 		return nil, fmt.Errorf("dex: implausible class count %d", nclasses)
+	}
+	if err := checkCount("classes", nclasses, minClassBytes, len(data)-off); err != nil {
+		return nil, err
 	}
 	d := &Dex{Classes: make([]Class, 0, nclasses)}
 	for i := uint32(0); i < nclasses; i++ {
@@ -227,8 +236,9 @@ func Decode(data []byte) (*Dex, error) {
 
 // Baksmali decompiles the dex into smali source files, one per class,
 // keyed by the apktool-style relative path ("smali/com/example/Main.smali").
-// The invoke lines carry the full method references the cloud-API detector
-// string-matches on.
+// The invoke lines carry the full method references that
+// cloudml.DetectSmali string-matches on. It is a test reference for
+// extraction's zero-copy scanner; no binary calls it.
 func Baksmali(d *Dex) map[string]string {
 	out := make(map[string]string, len(d.Classes))
 	for _, c := range d.Classes {

@@ -38,7 +38,9 @@ func EncodeNativeLib(l NativeLib) []byte {
 // IsNativeLib reports whether data starts with the ELF identification.
 func IsNativeLib(data []byte) bool { return bytes.HasPrefix(data, elfMagic[:4]) }
 
-// DecodeNativeLib parses an encoded shared object.
+// DecodeNativeLib parses an encoded shared object. It is a test
+// reference: tests check extraction's zero-copy scanner against it, and no
+// binary calls it.
 func DecodeNativeLib(data []byte) (NativeLib, error) {
 	var l NativeLib
 	if !bytes.HasPrefix(data, elfMagic) {

@@ -52,6 +52,9 @@ func ParseRaw(data []byte) (*RawDex, error) {
 	if nstr > 1<<22 {
 		return nil, fmt.Errorf("dex: implausible string count %d", nstr)
 	}
+	if err := checkCount("strings", nstr, minStringBytes, len(data)-off); err != nil {
+		return nil, err
+	}
 	d := &RawDex{Strings: make([][]byte, nstr)}
 	for i := range d.Strings {
 		n, err := u32()
@@ -76,6 +79,9 @@ func ParseRaw(data []byte) (*RawDex, error) {
 	}
 	if nclasses > 1<<20 {
 		return nil, fmt.Errorf("dex: implausible class count %d", nclasses)
+	}
+	if err := checkCount("classes", nclasses, minClassBytes, len(data)-off); err != nil {
+		return nil, err
 	}
 	d.classNames = make([]uint32, 0, nclasses)
 	d.refStart = make([]uint32, 1, nclasses+1)
@@ -125,6 +131,23 @@ func ParseRaw(data []byte) (*RawDex, error) {
 		d.refStart = append(d.refStart, uint32(len(d.refs)))
 	}
 	return d, nil
+}
+
+// Smallest encodings: a string is its 4-byte length then its bytes; a
+// class is a 4-byte name index and a 4-byte method count then its methods.
+const (
+	minStringBytes = 4
+	minClassBytes  = 8
+)
+
+// checkCount rejects a header count whose entries cannot fit in the rest
+// bytes left unread, before that count sizes an allocation: otherwise a
+// 12-byte input could claim 1<<22 strings and have their table allocated.
+func checkCount(what string, n uint32, minBytes, rest int) error {
+	if uint64(n)*uint64(minBytes) > uint64(rest) {
+		return fmt.Errorf("dex: truncated: %d %s cannot fit in %d bytes", n, what, rest)
+	}
+	return nil
 }
 
 // NumClasses returns the class count.

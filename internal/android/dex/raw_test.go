@@ -2,6 +2,8 @@ package dex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -148,5 +150,46 @@ func TestWalkNativeLibStrings(t *testing.T) {
 	}
 	if err := WalkNativeLibStrings([]byte{0x7f, 'E', 'L', 'F'}, func(s []byte) bool { return true }); err == nil {
 		t.Fatal("short ELF ident should fail")
+	}
+}
+
+// A header count is read before any entry, so a few bytes can claim
+// millions of strings or classes. Neither decoder may size a table from
+// such a count: each must fail with allocation bounded by the input.
+func TestHeaderCountsCannotForceLargeAllocations(t *testing.T) {
+	header := func(counts ...uint32) []byte {
+		b := append([]byte(nil), Magic...)
+		for _, c := range counts {
+			b = binary.LittleEndian.AppendUint32(b, c)
+		}
+		return b
+	}
+	inputs := []struct {
+		name string
+		data []byte
+	}{
+		{"strings", header(1 << 22)},
+		{"classes", header(0, 1<<20)},
+	}
+	parsers := []struct {
+		name  string
+		parse func([]byte) error
+	}{
+		{"Decode", func(b []byte) error { _, err := Decode(b); return err }},
+		{"ParseRaw", func(b []byte) error { _, err := ParseRaw(b); return err }},
+	}
+	for _, in := range inputs {
+		for _, p := range parsers {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := p.parse(in.data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s(%d-byte %s header) succeeded", p.name, len(in.data), in.name)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("%s(%d-byte %s header) allocated %d bytes", p.name, len(in.data), in.name, alloc)
+			}
+		}
 	}
 }

@@ -106,7 +106,9 @@ type Detection struct {
 
 // DetectSmali string-matches the known call sites over decompiled smali
 // files, exactly the apktool-based pipeline of Section 3.2. Results are
-// deduplicated per (API, file) and sorted deterministically.
+// deduplicated per (API, file) and sorted deterministically. It is a test
+// reference: tests check extraction's zero-copy scanner against it, and
+// no binary calls it.
 func DetectSmali(files map[string]string) []Detection {
 	var out []Detection
 	seen := map[string]bool{}

@@ -28,12 +28,12 @@ func TestRunStudyInProcess(t *testing.T) {
 	if d20.TotalModels >= d21.TotalModels {
 		t.Fatal("2020 must hold fewer models than 2021")
 	}
-	// Metadata store captured both snapshots.
-	if res.Meta.Count("apps-2021") != d21.TotalApps {
-		t.Fatalf("meta holds %d apps, corpus %d", res.Meta.Count("apps-2021"), d21.TotalApps)
+	// Every generated app of both snapshots reached its corpus.
+	if want := len(res.Store.Snap20.Apps); d20.TotalApps != want {
+		t.Fatalf("2020 corpus holds %d apps, snapshot %d", d20.TotalApps, want)
 	}
-	if res.Meta.Count("apps-2020") == 0 {
-		t.Fatal("2020 metadata missing")
+	if want := len(res.Store.Snap21.Apps); d21.TotalApps != want {
+		t.Fatalf("2021 corpus holds %d apps, snapshot %d", d21.TotalApps, want)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"github.com/gaugenn/gaugenn/internal/analysis"
 	"github.com/gaugenn/gaugenn/internal/crawler"
-	"github.com/gaugenn/gaugenn/internal/docstore"
 	"github.com/gaugenn/gaugenn/internal/errgroup"
 	"github.com/gaugenn/gaugenn/internal/errs"
 	"github.com/gaugenn/gaugenn/internal/event"
@@ -408,7 +407,7 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 		metRunFailures.Inc()
 		return nil, err
 	}
-	res := &StudyResult{Meta: docstore.New(), Store: study}
+	res := &StudyResult{Store: study}
 	corpusKeys := map[string]string{}
 	var keysMu sync.Mutex
 	// The group context is shared by both snapshot pipelines: the first
@@ -417,7 +416,7 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 	g, gctx := errgroup.WithContext(ctx)
 	runOne := func(snap *playstore.Snapshot, label string, dst **analysis.Corpus) func() error {
 		return func() error {
-			c, err := eng.runSnapshot(gctx, res.Meta, snap, label)
+			c, err := eng.runSnapshot(gctx, snap, label)
 			if err != nil {
 				return err
 			}
@@ -483,7 +482,7 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 	return res, nil
 }
 
-func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, snap *playstore.Snapshot, label string) (*analysis.Corpus, error) {
+func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot, label string) (*analysis.Corpus, error) {
 	cfg := e.cfg
 	workers := cfg.workerCount()
 	shards := analysis.NewShardedCorpus(label, cfg.KeepGraphs, workers, e.cache)
@@ -535,7 +534,6 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 		// each app's ingest.
 		cr := &crawler.Crawler{
 			Client:         client,
-			Store:          meta,
 			MaxPerCategory: cfg.MaxPerCategory,
 			Workers:        workers,
 			Progress: func(done, total int) {
@@ -605,8 +603,8 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 				return nil
 			}
 			// Quarantine mirrors the HTTP path: a tolerated failure drops
-			// the app (no shard entry, no metadata) but still steps both
-			// stages so disposition counts stay whole.
+			// the app (no shard entry) but still steps both stages so
+			// disposition counts stay whole.
 			quarantine := func(err error) error {
 				if qerr := failures.tolerate(a.Package, err); qerr != nil {
 					return qerr
@@ -635,14 +633,6 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 					}
 				}
 				memo.record(recipe, key)
-			}
-			// Values are pre-normalised to the store's JSON form (float64
-			// numbers) so Put's deep copy shares them instead of re-boxing.
-			if err := meta.Put("apps-"+label, a.Package, docstore.Doc{
-				"package": a.Package, "category": string(a.Category),
-				"rank": float64(a.Rank), "downloads": float64(a.Downloads), "rating": a.Rating,
-			}); err != nil {
-				return errs.Stage("crawl", label, err)
 			}
 			crawl.step()
 			analyse.step()

@@ -22,7 +22,6 @@ import (
 	"github.com/gaugenn/gaugenn/internal/analysis"
 	"github.com/gaugenn/gaugenn/internal/bench"
 	"github.com/gaugenn/gaugenn/internal/crawler"
-	"github.com/gaugenn/gaugenn/internal/docstore"
 	"github.com/gaugenn/gaugenn/internal/errs"
 	"github.com/gaugenn/gaugenn/internal/event"
 	"github.com/gaugenn/gaugenn/internal/nn/formats"
@@ -115,8 +114,6 @@ func (cfg Config) workerCount() int {
 type StudyResult struct {
 	// Corpus20/Corpus21 are the analysed snapshots (Table 2's columns).
 	Corpus20, Corpus21 *analysis.Corpus
-	// Meta is the crawl metadata store (the ElasticSearch stand-in).
-	Meta *docstore.Store
 	// Store gives access to the generated ground truth (device-delivery
 	// probes, re-crawls).
 	Store *playstore.Study

@@ -2,8 +2,7 @@
 // (Section 3.1): it "mimics the web API calls made from the Google Play
 // store of a typical mobile device", fetching the top free apps per
 // category (up to 500), downloading each app's package and companion
-// files, and filing the store metadata into the document store for ETL
-// analytics.
+// files, and handing each app's store metadata and package to the caller.
 package crawler
 
 import (
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"github.com/gaugenn/gaugenn/internal/android/apk"
-	"github.com/gaugenn/gaugenn/internal/docstore"
 	"github.com/gaugenn/gaugenn/internal/errgroup"
 	"github.com/gaugenn/gaugenn/internal/errs"
 	"github.com/gaugenn/gaugenn/internal/retry"
@@ -216,12 +214,10 @@ func (c *Client) Delivery(ctx context.Context, pkg string) (DeliveryManifest, er
 	return man, nil
 }
 
-// Crawler walks the whole store and files metadata into the docstore.
+// Crawler walks the whole store's category charts and downloads every
+// charted app.
 type Crawler struct {
 	Client *Client
-	// Store receives one document per app under the "apps-<label>"
-	// collection.
-	Store *docstore.Store
 	// MaxPerCategory caps chart depth (500 in the paper).
 	MaxPerCategory int
 	// Workers bounds the crawl fan-out: chart fetches and per-app
@@ -256,13 +252,12 @@ type Result struct {
 }
 
 // Run crawls every category chart and invokes handle for each downloaded
-// app. Metadata lands in the docstore collection "apps-"+label.
+// app, passing the app's chart metadata alongside its APK bytes.
 //
 // ctx bounds the whole crawl: cancellation stops dispatching new apps,
 // aborts in-flight HTTP requests, and Run returns ctx's error once the
 // in-flight workers drain — typically well inside a second. A cancelled
-// crawl leaves the docstore with a consistent prefix of the app stream
-// (every document it filed corresponds to a fully handled app).
+// crawl's Result counts only apps whose handle call completed.
 //
 // handle receives the app's global crawl index — its deterministic
 // position in chart order (categories in store order, apps in rank order)
@@ -326,9 +321,9 @@ func (cr *Crawler) Run(ctx context.Context, label string, handle func(idx int, m
 		cr.Progress(0, total)
 	}
 
-	// Per-app fan-out: download, delivery check, metadata filing and the
-	// handle callback all run on the worker pool. Result accounting and
-	// Progress are serialised under mu; actx dies on the first failure
+	// Per-app fan-out: download, delivery check and the handle callback
+	// all run on the worker pool. Result accounting and Progress are
+	// serialised under mu; actx dies on the first failure
 	// (errgroup.WithContext), short-circuiting queued work and aborting
 	// in-flight sibling downloads.
 	var (
@@ -375,22 +370,6 @@ func (cr *Crawler) Run(ctx context.Context, label string, handle func(idx int, m
 					return nil
 				}
 				return err
-			}
-			if cr.Store != nil {
-				// Numbers go in pre-normalised to float64 (the store's JSON
-				// form) so Put's deep copy shares instead of re-boxing.
-				doc := docstore.Doc{
-					"package":   meta.Package,
-					"title":     meta.Title,
-					"category":  meta.Category,
-					"rank":      float64(meta.Rank),
-					"downloads": float64(meta.Downloads),
-					"rating":    meta.Rating,
-					"apkBytes":  float64(len(apkBytes)),
-				}
-				if err := cr.Store.Put("apps-"+label, meta.Package, doc); err != nil {
-					return err
-				}
 			}
 			if handle != nil {
 				if err := handle(idx, meta, apkBytes); err != nil {

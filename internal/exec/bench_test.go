@@ -8,9 +8,10 @@ import (
 
 // BenchmarkExec measures the interpreter's steady-state hot path — input
 // fill, every kernel, metric updates, digest — in both precision regimes
-// at batch 1 and batch 8. Recorded numbers and the CI ceilings live in
-// BENCH_exec.json; the allocs/op ceiling is 0 (the arena contract), so
-// any per-run allocation sneaking into a kernel fails the exec-bench job.
+// at batch 1 and batch 8. Recorded numbers live in BENCH_exec.json. Its
+// allocs/op ceiling of 0 (the arena contract) is gated by TestAllocsPerRun,
+// which runs these four configurations, so any per-run allocation sneaking
+// into a kernel fails go test.
 func BenchmarkExec(b *testing.B) {
 	base := zoo.Spec{Task: zoo.TaskKeywordDetection, Seed: 91}
 	quant := zoo.Spec{Task: zoo.TaskKeywordDetection, Seed: 91, Quantized: true}

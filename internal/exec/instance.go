@@ -12,9 +12,9 @@ import (
 // Instance is one worker's mutable run state over a shared Program: the two
 // activation arenas, the float scratch, the per-tensor dynamic quantization
 // parameters and the timing accumulators. Everything is allocated by
-// NewInstance; Run and Digest allocate nothing, which the AllocsPerRun test
-// and the exec-bench CI job both gate. An Instance is not safe for
-// concurrent use — Pool gives each worker its own.
+// NewInstance; Run and Digest allocate nothing, which TestAllocsPerRun
+// gates. An Instance is not safe for concurrent use — Pool gives each
+// worker its own.
 type Instance struct {
 	prog *Program
 

@@ -22,7 +22,7 @@ func extractFixtureReport(t *testing.T) *Report {
 	for name, data := range fs {
 		files["assets/"+name] = data
 	}
-	rep := ExtractFiles(files)
+	rep := extractFiles(files)
 	if len(rep.Models) == 0 || rep.Models[0].Graph == nil {
 		t.Fatal("fixture extraction produced no decoded models")
 	}

@@ -404,18 +404,6 @@ func ExtractAPKCached(ctx context.Context, apkBytes []byte, cache DecodeCache) (
 	return rep, nil
 }
 
-// ExtractFiles runs extraction over a generic file map (APK contents, OBB
-// contents or asset-pack contents share this path).
-func ExtractFiles(files map[string][]byte) *Report {
-	entries := make([]entry, 0, len(files))
-	for n, d := range files {
-		entries = append(entries, entry{name: n, data: d, loaded: true})
-	}
-	// bytes() cannot fail on pre-loaded entries, so the error is impossible.
-	rep, _ := extractEntries(context.Background(), entries, nil)
-	return rep
-}
-
 // extractEntries is the shared extraction core. Entries are processed in
 // name order; only code files (dex, native libs) and extension-matching
 // candidates are ever materialised.
@@ -577,46 +565,6 @@ func formatClaims(f formats.Format, lowerName string) bool {
 		}
 	}
 	return false
-}
-
-// scanCodeText applies the marker tables to a blob of code-derived text
-// with per-marker strings.Contains passes. It is the reference
-// implementation the Aho–Corasick hot path is property-tested against; the
-// pipeline itself no longer calls it.
-func (r *Report) scanCodeText(text string) {
-	for fw, markers := range frameworkCodeMarkers {
-		for _, m := range markers {
-			if strings.Contains(text, m) {
-				r.addFramework(fw)
-				break
-			}
-		}
-	}
-	for _, m := range nnapiMarkers {
-		if strings.Contains(text, m) {
-			r.UsesNNAPI = true
-		}
-	}
-	for _, m := range xnnpackMarkers {
-		if strings.Contains(text, m) {
-			r.UsesXNNPACK = true
-		}
-	}
-	for _, m := range lazyMarkers {
-		if strings.Contains(text, m) {
-			r.LazyModelDownload = true
-		}
-	}
-	for _, m := range trainingMarkers {
-		if strings.Contains(text, m) {
-			r.OnDeviceTraining = true
-		}
-	}
-	for _, m := range snpeUsageMarkers {
-		if strings.Contains(text, m) {
-			r.UsesSNPE = true
-		}
-	}
 }
 
 func (r *Report) addFramework(fw string) {

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/android/apk"
@@ -26,6 +27,18 @@ func buildModelFiles(t *testing.T, task zoo.Task, seed int64, fw string) (format
 		t.Fatal(err)
 	}
 	return fs, g
+}
+
+// extractFiles runs extraction over an in-memory file map, so tests can
+// hand the extractor an app's contents without packaging an APK.
+func extractFiles(files map[string][]byte) *Report {
+	entries := make([]entry, 0, len(files))
+	for n, d := range files {
+		entries = append(entries, entry{name: n, data: d, loaded: true})
+	}
+	// bytes() cannot fail on pre-loaded entries, so the error is impossible.
+	rep, _ := extractEntries(context.Background(), entries, nil)
+	return rep
 }
 
 func TestExtractAPKFindsModels(t *testing.T) {
@@ -95,7 +108,7 @@ func TestExtractRejectsEncrypted(t *testing.T) {
 		}
 		files["assets/models/"+name] = enc
 	}
-	rep := ExtractFiles(files)
+	rep := extractFiles(files)
 	if len(rep.Models) != 0 {
 		t.Fatal("encrypted model should not validate")
 	}
@@ -113,7 +126,7 @@ func TestExtractMultiFileGrouping(t *testing.T) {
 	for name, data := range nc {
 		files["assets/ml/"+name] = data
 	}
-	rep := ExtractFiles(files)
+	rep := extractFiles(files)
 	if len(rep.Models) != 1 {
 		t.Fatalf("ncnn param+bin should decode as one model, got %d (failed: %v)", len(rep.Models), rep.FailedValidation)
 	}
@@ -135,7 +148,7 @@ func TestExtractDetectsAcceleration(t *testing.T) {
 			"Lcom/example/ml/ModelDownloader;->fetchModel(Ljava/lang/String;)",
 		}}},
 	}}}
-	rep := ExtractFiles(map[string][]byte{"classes.dex": d.Encode()})
+	rep := extractFiles(map[string][]byte{"classes.dex": d.Encode()})
 	if !rep.UsesNNAPI || !rep.UsesXNNPACK || !rep.UsesSNPE || !rep.LazyModelDownload {
 		t.Fatalf("acceleration flags: %+v", rep)
 	}
@@ -153,7 +166,7 @@ func TestExtractDetectsOnDeviceTraining(t *testing.T) {
 			"Lorg/tensorflow/lite/transfer/TransferLearningModel;->train()",
 		}}},
 	}}}
-	rep := ExtractFiles(map[string][]byte{"classes.dex": d.Encode()})
+	rep := extractFiles(map[string][]byte{"classes.dex": d.Encode()})
 	if !rep.OnDeviceTraining {
 		t.Fatal("training trace not detected")
 	}
@@ -162,7 +175,7 @@ func TestExtractDetectsOnDeviceTraining(t *testing.T) {
 		Name:    "Lcom/x/Plain;",
 		Methods: []dex.Method{{Name: "infer", Calls: []string{"Lorg/tensorflow/lite/Interpreter;->run()"}}},
 	}}}
-	rep2 := ExtractFiles(map[string][]byte{"classes.dex": plain.Encode()})
+	rep2 := extractFiles(map[string][]byte{"classes.dex": plain.Encode()})
 	if rep2.OnDeviceTraining {
 		t.Fatal("false positive training trace")
 	}
@@ -185,7 +198,7 @@ func TestExtractFromOBB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := ExtractFiles(decoded)
+	rep := extractFiles(decoded)
 	if len(rep.Models) != 1 {
 		t.Fatalf("OBB extraction found %d models", len(rep.Models))
 	}
@@ -202,14 +215,14 @@ func TestExtractCloudAPIs(t *testing.T) {
 			"Lcom/amazonaws/services/polly/AmazonPollyPresigningClient;-><init>",
 		}}},
 	}}}
-	rep := ExtractFiles(map[string][]byte{"classes.dex": d.Encode()})
+	rep := extractFiles(map[string][]byte{"classes.dex": d.Encode()})
 	if len(rep.CloudAPIs) != 2 {
 		t.Fatalf("cloud APIs = %+v", rep.CloudAPIs)
 	}
 }
 
 func TestExtractIgnoresNonCandidates(t *testing.T) {
-	rep := ExtractFiles(map[string][]byte{
+	rep := extractFiles(map[string][]byte{
 		"assets/readme.txt": []byte("hello"),
 		"assets/icon.png":   []byte{0x89, 'P', 'N', 'G'},
 	})

@@ -34,7 +34,7 @@ func TestScanDoesNotMatchAcrossStringJunctions(t *testing.T) {
 		},
 	}}
 	for i := 0; i < 50; i++ { // the old bug was probabilistic; hammer it
-		rep := ExtractFiles(map[string][]byte{"classes.dex": d.Encode()})
+		rep := extractFiles(map[string][]byte{"classes.dex": d.Encode()})
 		if rep.UsesNNAPI {
 			t.Fatal("marker assembled across two code strings")
 		}
@@ -46,7 +46,7 @@ func TestScanDoesNotMatchAcrossStringJunctions(t *testing.T) {
 			"Lorg/tensorflow/lite/nnapi/NnApiDelegate;-><init>()V",
 		}}},
 	}}}
-	rep := ExtractFiles(map[string][]byte{"classes.dex": whole.Encode()})
+	rep := extractFiles(map[string][]byte{"classes.dex": whole.Encode()})
 	if !rep.UsesNNAPI {
 		t.Fatal("marker in a single string not detected")
 	}
@@ -145,6 +145,45 @@ func openForReference(apkBytes []byte) (map[string][]byte, error) {
 		out[name] = data
 	}
 	return out, nil
+}
+
+// scanCodeText applies the marker tables to a blob of code-derived text
+// with per-marker strings.Contains passes. It is the reference
+// implementation the Aho–Corasick hot path is property-tested against.
+func (r *Report) scanCodeText(text string) {
+	for fw, markers := range frameworkCodeMarkers {
+		for _, m := range markers {
+			if strings.Contains(text, m) {
+				r.addFramework(fw)
+				break
+			}
+		}
+	}
+	for _, m := range nnapiMarkers {
+		if strings.Contains(text, m) {
+			r.UsesNNAPI = true
+		}
+	}
+	for _, m := range xnnpackMarkers {
+		if strings.Contains(text, m) {
+			r.UsesXNNPACK = true
+		}
+	}
+	for _, m := range lazyMarkers {
+		if strings.Contains(text, m) {
+			r.LazyModelDownload = true
+		}
+	}
+	for _, m := range trainingMarkers {
+		if strings.Contains(text, m) {
+			r.OnDeviceTraining = true
+		}
+	}
+	for _, m := range snpeUsageMarkers {
+		if strings.Contains(text, m) {
+			r.UsesSNPE = true
+		}
+	}
 }
 
 // Cloud API detections must match the smali-text detector

@@ -84,9 +84,6 @@ func (r *AgentRunner) DeviceModel() string { return r.device }
 // Master exposes the underlying master for timeout tuning.
 func (r *AgentRunner) Master() *bench.Master { return r.master }
 
-// Info queries the agent's identity, backends and thermal state.
-func (r *AgentRunner) Info(ctx context.Context) (bench.AgentInfo, error) { return r.master.Query(ctx) }
-
 // Run executes one job through the full master-slave workflow.
 func (r *AgentRunner) Run(ctx context.Context, job bench.Job) (bench.JobResult, error) {
 	res, err := r.master.RunJobs(ctx, []bench.Job{job})

@@ -288,9 +288,5 @@ func (s *Session) Infer(sink soc.PowerSink) (Result, error) {
 	return agg, nil
 }
 
-// Warm marks the session warm without running (used by harness warmup
-// accounting tests).
-func (s *Session) Warm() { s.warm = true }
-
 // IsWarm reports whether the next inference is a warm run.
 func (s *Session) IsWarm() bool { return s.warm }

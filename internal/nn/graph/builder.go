@@ -236,12 +236,6 @@ func (b *Builder) MaxPool(name string, k, stride int) *Builder {
 		Attrs{KernelH: k, KernelW: k, StrideH: stride, StrideW: stride, PadSame: true}, nil)
 }
 
-// AvgPool appends a k×k average pooling layer with the given stride (SAME).
-func (b *Builder) AvgPool(name string, k, stride int) *Builder {
-	return b.addLayer(name, OpAvgPool, []string{b.cur},
-		Attrs{KernelH: k, KernelW: k, StrideH: stride, StrideW: stride, PadSame: true}, nil)
-}
-
 // GlobalAvgPool appends a global average pooling layer.
 func (b *Builder) GlobalAvgPool(name string) *Builder {
 	return b.addLayer(name, OpGlobalAvgPool, []string{b.cur}, Attrs{}, nil)
@@ -363,11 +357,6 @@ func (b *Builder) TransposeConv(name string, filters, k, stride int) *Builder {
 // of a dimension from its begin offset).
 func (b *Builder) Slice(name string, begin, size []int) *Builder {
 	return b.addLayer(name, OpSlice, []string{b.cur}, Attrs{Begin: begin, Size: size}, nil)
-}
-
-// Pad appends symmetric spatial zero-padding for rank-4 tensors.
-func (b *Builder) Pad(name string, padH, padW int) *Builder {
-	return b.addLayer(name, OpPad, []string{b.cur}, Attrs{PadH: padH, PadW: padW}, nil)
 }
 
 // Output declares the current tensor as a graph output.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
 )
 
 // Checksum is the md5-based identity gaugeNN uses for model uniqueness
@@ -203,16 +202,6 @@ func (ws WeightStats) SparsityFraction() float64 {
 		return 0
 	}
 	return float64(ws.NearZero) / float64(ws.TotalParams)
-}
-
-// SortedDTypes lists the weight dtypes present in deterministic order.
-func (ws WeightStats) SortedDTypes() []DType {
-	out := make([]DType, 0, len(ws.DTypeParams))
-	for dt := range ws.DTypeParams {
-		out = append(out, dt)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func hasPrefix(s, prefix string) bool {

@@ -166,15 +166,6 @@ func (g *Graph) ParamCount() int64 {
 	return n
 }
 
-// WeightBytes returns the total weight storage footprint.
-func (g *Graph) WeightBytes() int64 {
-	var n int64
-	for i := range g.Layers {
-		n += g.Layers[i].WeightBytes()
-	}
-	return n
-}
-
 // DetachWeights copies every weight's Data into freshly owned memory (one
 // contiguous allocation for the whole model). Decoders borrow weight bytes
 // from the source buffer (the model file, or the APK it was read from);

@@ -1,6 +1,6 @@
 // Package report renders the study's tables and figure series as aligned
-// text and CSV — the output layer that regenerates each Table and Figure
-// of the paper's evaluation in a terminal-friendly form.
+// text — the output layer that regenerates each Table and Figure of the
+// paper's evaluation in a terminal-friendly form.
 package report
 
 import (
@@ -49,18 +49,6 @@ func Table(title string, headers []string, rows [][]string) string {
 	return b.String()
 }
 
-// CSV renders rows as comma-separated values with a header.
-func CSV(headers []string, rows [][]string) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(headers, ","))
-	b.WriteString("\n")
-	for _, row := range rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // ECDFSummary renders a distribution as its key quantiles, the textual
 // stand-in for an ECDF plot.
 func ECDFSummary(name string, xs []float64, unit string) string {
@@ -72,30 +60,6 @@ func ECDFSummary(name string, xs []float64, unit string) string {
 		name, e.Len(),
 		e.Quantile(0.10), e.Quantile(0.25), e.Quantile(0.50),
 		e.Quantile(0.75), e.Quantile(0.90), e.Quantile(1), unit)
-}
-
-// Histogram renders a horizontal ASCII histogram of xs.
-func Histogram(name string, xs []float64, bins int, unit string) string {
-	h, err := stats.NewHistogram(xs, bins)
-	if err != nil || h.Total == 0 {
-		return fmt.Sprintf("%s: (no samples)\n", name)
-	}
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%s)\n", name, unit)
-	for i, c := range h.Counts {
-		bar := ""
-		if maxC > 0 {
-			bar = strings.Repeat("#", c*40/maxC)
-		}
-		fmt.Fprintf(&b, "  %10.3g | %-40s %d\n", h.BinCenter(i), bar, c)
-	}
-	return b.String()
 }
 
 // DistCells renders a sample set as the paper's Table 4 presentation —

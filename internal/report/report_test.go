@@ -33,14 +33,6 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	out := CSV([]string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
-	want := "a,b\n1,2\n3,4\n"
-	if out != want {
-		t.Fatalf("csv = %q", out)
-	}
-}
-
 func TestECDFSummary(t *testing.T) {
 	out := ECDFSummary("lat", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, "ms")
 	if !strings.Contains(out, "n=10") || !strings.Contains(out, "p50=") || !strings.Contains(out, "ms") {
@@ -48,16 +40,6 @@ func TestECDFSummary(t *testing.T) {
 	}
 	if !strings.Contains(ECDFSummary("x", nil, "ms"), "no samples") {
 		t.Fatal("empty sample handling")
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	out := Histogram("energy", []float64{1, 1, 2, 3, 3, 3}, 3, "mJ")
-	if !strings.Contains(out, "#") {
-		t.Fatalf("histogram = %q", out)
-	}
-	if !strings.Contains(Histogram("x", nil, 3, "mJ"), "no samples") {
-		t.Fatal("empty histogram handling")
 	}
 }
 

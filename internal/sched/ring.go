@@ -230,10 +230,3 @@ func (r *Ring) unsubscribe(s *Sub) {
 		metSubscribers.Set(float64(totalSubs.Add(-1)))
 	}
 }
-
-// Closed reports whether the ring reached its terminal state.
-func (r *Ring) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolbox gaugeNN uses to
-// summarise measurement distributions: empirical CDFs, histograms, Gaussian
-// kernel density estimation, percentiles, least-squares line fits and
-// bounded Zipf sampling for popularity modelling.
+// summarise measurement distributions: empirical CDFs, percentiles,
+// least-squares line fits and bounded Zipf sampling for popularity
+// modelling.
 //
 // All functions are deterministic and allocation-conscious; none of them
 // mutate their input slices unless documented otherwise.
@@ -177,105 +177,6 @@ func (e *ECDF) Points() (xs, ps []float64) {
 		ps = append(ps, float64(i+1)/float64(n))
 	}
 	return xs, ps
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Min, Max float64
-	Width    float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram bins xs into nbins equal-width bins spanning [min(xs),
-// max(xs)]. Values equal to the maximum land in the last bin. nbins must be
-// positive; an empty sample yields an empty histogram.
-func NewHistogram(xs []float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: nbins must be positive, got %d", nbins)
-	}
-	h := &Histogram{Counts: make([]int, nbins)}
-	if len(xs) == 0 {
-		return h, nil
-	}
-	h.Min, h.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < h.Min {
-			h.Min = x
-		}
-		if x > h.Max {
-			h.Max = x
-		}
-	}
-	span := h.Max - h.Min
-	if span == 0 {
-		span = 1
-	}
-	h.Width = span / float64(nbins)
-	for _, x := range xs {
-		i := int((x - h.Min) / h.Width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i]++
-		h.Total++
-	}
-	return h, nil
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Min + (float64(i)+0.5)*h.Width
-}
-
-// KDE evaluates a Gaussian kernel density estimate of xs at each point in
-// at, using Silverman's rule-of-thumb bandwidth when bandwidth <= 0.
-// The paper's Figure 10 overlays exactly this estimate on its histograms.
-func KDE(xs []float64, at []float64, bandwidth float64) []float64 {
-	out := make([]float64, len(at))
-	if len(xs) == 0 {
-		return out
-	}
-	if bandwidth <= 0 {
-		bandwidth = SilvermanBandwidth(xs)
-	}
-	if bandwidth <= 0 {
-		bandwidth = 1e-9
-	}
-	norm := 1 / (float64(len(xs)) * bandwidth * math.Sqrt(2*math.Pi))
-	for i, a := range at {
-		var sum float64
-		for _, x := range xs {
-			u := (a - x) / bandwidth
-			sum += math.Exp(-0.5 * u * u)
-		}
-		out[i] = sum * norm
-	}
-	return out
-}
-
-// SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth for a
-// Gaussian KDE over xs: 0.9 * min(sd, IQR/1.34) * n^(-1/5).
-func SilvermanBandwidth(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 1
-	}
-	s := MustSummarize(xs)
-	iqr := Percentile(xs, 75) - Percentile(xs, 25)
-	spread := s.StdDev
-	if iqr > 0 && iqr/1.34 < spread {
-		spread = iqr / 1.34
-	}
-	if spread <= 0 {
-		spread = s.StdDev
-	}
-	if spread <= 0 {
-		return 1
-	}
-	return 0.9 * spread * math.Pow(float64(len(xs)), -0.2)
 }
 
 // LinearFit is the least-squares line y = Slope*x + Intercept with its

@@ -138,104 +138,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total != 10 {
-		t.Fatalf("Total = %d", h.Total)
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("bin %d = %d, want 2 (%v)", i, c, h.Counts)
-		}
-	}
-	if !almostEqual(h.BinCenter(0), 0.9, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramEdgeCases(t *testing.T) {
-	if _, err := NewHistogram(nil, 0); err == nil {
-		t.Fatal("nbins=0 should error")
-	}
-	h, err := NewHistogram(nil, 3)
-	if err != nil || h.Total != 0 {
-		t.Fatalf("empty histogram: %v %+v", err, h)
-	}
-	// All-equal values must not divide by zero and land in one bin.
-	h, err = NewHistogram([]float64{4, 4, 4}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Counts[0] != 3 {
-		t.Fatalf("identical values should fill the first bin: %v", h.Counts)
-	}
-}
-
-// Property: histogram preserves total count for arbitrary finite samples.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		h, err := NewHistogram(xs, 7)
-		if err != nil {
-			return false
-		}
-		sum := 0
-		for _, c := range h.Counts {
-			sum += c
-		}
-		return sum == len(xs) && h.Total == len(xs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKDEIntegratesToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	// Integrate the density over a wide grid with the trapezoid rule.
-	const lo, hi, n = -8.0, 8.0, 1601
-	grid := make([]float64, n)
-	for i := range grid {
-		grid[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-	}
-	dens := KDE(xs, grid, 0)
-	var integral float64
-	for i := 1; i < n; i++ {
-		integral += (dens[i] + dens[i-1]) / 2 * (grid[i] - grid[i-1])
-	}
-	if !almostEqual(integral, 1, 0.02) {
-		t.Fatalf("KDE integral = %v, want ~1", integral)
-	}
-}
-
-func TestKDEEmptySample(t *testing.T) {
-	out := KDE(nil, []float64{0, 1}, 0)
-	if out[0] != 0 || out[1] != 0 {
-		t.Fatalf("empty-sample KDE should be zero, got %v", out)
-	}
-}
-
-func TestSilvermanBandwidthPositive(t *testing.T) {
-	if bw := SilvermanBandwidth([]float64{1, 2, 3, 4, 5}); bw <= 0 {
-		t.Fatalf("bandwidth = %v", bw)
-	}
-	if bw := SilvermanBandwidth([]float64{2, 2, 2}); bw <= 0 {
-		t.Fatalf("degenerate sample bandwidth = %v, want positive fallback", bw)
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 2x + 1
