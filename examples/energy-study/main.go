@@ -80,7 +80,7 @@ func main() {
 
 	// Figure 10: distributions over a broader model population.
 	fmt.Println("\nFigure 10: inference energy / power / efficiency (CPU, 4 threads)")
-	study, err := core.Run(ctx, core.Config{Seed: 5, Scale: 0.04, KeepGraphs: true, MaxPerCategory: 500})
+	study, err := core.Run(ctx, core.Config{Seed: 5, Scale: 0.04, KeepGraphs: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func TestCancelledColdRunWarmResumeByteIdentical(t *testing.T) {
 // TestBenchCancelled covers the RunSpec surface: a cancelled context
 // returns the typed stage error without running the remaining models.
 func TestBenchCancelled(t *testing.T) {
-	res, err := Run(context.Background(), Config{Seed: 49, Scale: 0.02, KeepGraphs: true, MaxPerCategory: 500})
+	res, err := Run(context.Background(), Config{Seed: 49, Scale: 0.02, KeepGraphs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

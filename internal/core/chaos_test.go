@@ -20,6 +20,7 @@ import (
 	"github.com/gaugenn/gaugenn/internal/errs"
 	"github.com/gaugenn/gaugenn/internal/event"
 	"github.com/gaugenn/gaugenn/internal/faults"
+	"github.com/gaugenn/gaugenn/internal/playstore"
 	"github.com/gaugenn/gaugenn/internal/store"
 	"github.com/gaugenn/gaugenn/internal/testutil"
 )
@@ -75,7 +76,7 @@ func TestChaosTransientFaultsConvergeByteIdentical(t *testing.T) {
 
 func TestChaosPersistentFaultsQuarantineDeterministically(t *testing.T) {
 	unlucky := func(pkg string) bool { return strings.HasSuffix(pkg, "0") }
-	run := func() (*StudyResult, []event.StageWarning) {
+	run := func() (*StudyResult, []event.StageWarning, map[string]int) {
 		cfg := chaosConfig()
 		cfg.FailureBudget = 0.5
 		cfg.Transport = func(label string) http.RoundTripper {
@@ -84,26 +85,46 @@ func TestChaosPersistentFaultsQuarantineDeterministically(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var warns []event.StageWarning
+		dones := map[string]int{} // stage/snapshot -> StageDone total
 		cfg.OnEvent = func(ev event.Event) {
-			if w, ok := ev.(event.StageWarning); ok {
-				mu.Lock()
-				warns = append(warns, w)
-				mu.Unlock()
+			mu.Lock()
+			defer mu.Unlock()
+			switch v := ev.(type) {
+			case event.StageWarning:
+				warns = append(warns, v)
+			case event.StageDone:
+				dones[v.Stage+"/"+v.Snapshot] = v.Total
 			}
 		}
 		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("in-budget faults must degrade, not abort: %v", err)
 		}
-		return res, warns
+		return res, warns, dones
 	}
 
-	first, warns := run()
+	first, warns, dones := run()
 	if len(first.Quarantine) == 0 {
 		t.Fatal("no apps quarantined — the fault schedule matched nothing")
 	}
 	if len(warns) != len(first.Quarantine) {
 		t.Fatalf("%d StageWarning events for %d quarantined apps", len(warns), len(first.Quarantine))
+	}
+	// Quarantined apps still count toward both stages: each finishes at
+	// its snapshot's full chart size.
+	for _, s := range []struct {
+		label string
+		snap  *playstore.Snapshot
+	}{{"2020", first.Store.Snap20}, {"2021", first.Store.Snap21}} {
+		charted := 0
+		for _, c := range playstore.Categories() {
+			charted += len(s.snap.TopChart(c, playstore.ChartDepth))
+		}
+		for _, stage := range []string{"crawl", "analyse"} {
+			if got := dones[stage+"/"+s.label]; got != charted {
+				t.Fatalf("%s/%s finished at %d apps, want the chart size %d", stage, s.label, got, charted)
+			}
+		}
 	}
 	inCorpus := map[string]map[string]bool{
 		"2020": make(map[string]bool), "2021": make(map[string]bool),
@@ -126,7 +147,7 @@ func TestChaosPersistentFaultsQuarantineDeterministically(t *testing.T) {
 		}
 	}
 
-	second, _ := run()
+	second, _, _ := run()
 	if !reflect.DeepEqual(quarantineKeys(first), quarantineKeys(second)) {
 		t.Fatalf("quarantine diverges across identical faulty runs:\n%v\n%v",
 			quarantineKeys(first), quarantineKeys(second))

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/url"
+	"reflect"
+	"sync"
 	"testing"
 
+	"github.com/gaugenn/gaugenn/internal/analysis"
 	"github.com/gaugenn/gaugenn/internal/nn/zoo"
+	"github.com/gaugenn/gaugenn/internal/playstore"
 )
 
 func smallStudy(t *testing.T, useHTTP bool) *StudyResult {
@@ -37,13 +44,106 @@ func TestRunStudyInProcess(t *testing.T) {
 	}
 }
 
+// TestRunStudyHTTPAndInProcessAgree holds both app sources to one
+// output: each snapshot's encoded corpus and every report table are
+// byte-identical whether the apps were downloaded or packaged in process.
 func TestRunStudyHTTPAndInProcessAgree(t *testing.T) {
 	viaHTTP := smallStudy(t, true)
 	inProc := smallStudy(t, false)
-	h, p := viaHTTP.Corpus21.Dataset(), inProc.Corpus21.Dataset()
-	if h.TotalModels != p.TotalModels || h.UniqueModels != p.UniqueModels ||
-		h.AppsWithModels != p.AppsWithModels {
-		t.Fatalf("transport changed results: http=%+v inproc=%+v", h, p)
+	for _, snap := range []struct {
+		label string
+		h, p  *analysis.Corpus
+	}{
+		{"2020", viaHTTP.Corpus20, inProc.Corpus20},
+		{"2021", viaHTTP.Corpus21, inProc.Corpus21},
+	} {
+		hb, err := analysis.EncodeCorpus(snap.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := analysis.EncodeCorpus(snap.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hb, pb) {
+			t.Errorf("snapshot %s: encoded corpora differ (http %d bytes, in process %d bytes)", snap.label, len(hb), len(pb))
+		}
+	}
+	ht := StudyTables(viaHTTP.Corpus20, viaHTTP.Corpus21)
+	pt := StudyTables(inProc.Corpus20, inProc.Corpus21)
+	for _, name := range TableNames() {
+		if ht[name] != pt[name] {
+			t.Errorf("%s differs:\nhttp:\n%s\nin process:\n%s", name, ht[name], pt[name])
+		}
+	}
+}
+
+// TestRunStudyHTTPTraffic pins the crawl's requests per snapshot: one
+// category listing, one 500-deep chart per category, and one download
+// and one delivery check per charted app — nothing else, nothing twice.
+func TestRunStudyHTTPTraffic(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string][]*url.URL{}
+	cfg := DefaultConfig(77, 0.025)
+	cfg.UseHTTP = true
+	cfg.Transport = func(label string) http.RoundTripper {
+		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			mu.Lock()
+			seen[label] = append(seen[label], req.URL)
+			mu.Unlock()
+			return http.DefaultTransport.RoundTrip(req)
+		})
+	}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		label string
+		snap  *playstore.Snapshot
+	}{{"2020", res.Store.Snap20}, {"2021", res.Store.Snap21}} {
+		paths := map[string]int{}
+		charts := map[string]int{}
+		perApp := map[string]map[string]int{"/fdfe/purchase": {}, "/fdfe/delivery": {}}
+		for _, u := range seen[s.label] {
+			paths[u.Path]++
+			q := u.Query()
+			switch u.Path {
+			case "/fdfe/topCharts":
+				if n := q.Get("n"); n != "500" {
+					t.Errorf("%s: chart %s fetched with n=%s, want 500", s.label, q.Get("cat"), n)
+				}
+				charts[q.Get("cat")]++
+			case "/fdfe/purchase", "/fdfe/delivery":
+				perApp[u.Path][q.Get("doc")]++
+			}
+		}
+		cats := playstore.Categories()
+		var charted []string
+		for _, c := range cats {
+			if charts[string(c)] != 1 {
+				t.Errorf("%s: chart %s fetched %d times, want 1", s.label, c, charts[string(c)])
+			}
+			for _, a := range s.snap.TopChart(c, 500) {
+				charted = append(charted, a.Package)
+			}
+		}
+		want := map[string]int{
+			"/fdfe/categories": 1,
+			"/fdfe/topCharts":  len(cats),
+			"/fdfe/purchase":   len(charted),
+			"/fdfe/delivery":   len(charted),
+		}
+		if !reflect.DeepEqual(paths, want) {
+			t.Errorf("%s: requests per path %v, want %v", s.label, paths, want)
+		}
+		for path, counts := range perApp {
+			for _, pkg := range charted {
+				if counts[pkg] != 1 {
+					t.Errorf("%s: %s %s requested %d times, want 1", s.label, path, pkg, counts[pkg])
+				}
+			}
+		}
 	}
 }
 

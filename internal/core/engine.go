@@ -125,21 +125,14 @@ func (cfg Config) budget(total int) int {
 type appFailures struct {
 	eng      *studyEngine
 	snapshot string
+	total    int // the snapshot's app count, which sizes the budget
 
-	mu    sync.Mutex
-	total int
-	pkgs  []string
+	mu   sync.Mutex
+	pkgs []string
 }
 
-func (e *studyEngine) newFailures(snapshot string) *appFailures {
-	return &appFailures{eng: e, snapshot: snapshot}
-}
-
-// setTotal sizes the budget once the snapshot's app count is known.
-func (f *appFailures) setTotal(total int) {
-	f.mu.Lock()
-	f.total = total
-	f.mu.Unlock()
+func (e *studyEngine) newFailures(snapshot string, total int) *appFailures {
+	return &appFailures{eng: e, snapshot: snapshot, total: total}
 }
 
 // tolerate arbitrates one app failure: nil return means the app was
@@ -161,8 +154,8 @@ func (f *appFailures) tolerate(pkg string, err error) error {
 	}
 	f.mu.Lock()
 	f.pkgs = append(f.pkgs, pkg)
-	failed, total := len(f.pkgs), f.total
-	blown := failed > f.eng.cfg.budget(total)
+	failed := len(f.pkgs)
+	blown := failed > f.eng.cfg.budget(f.total)
 	var packages []string
 	if blown {
 		packages = append(packages, f.pkgs...)
@@ -179,8 +172,8 @@ func (f *appFailures) tolerate(pkg string, err error) error {
 	})
 	if blown {
 		return &errs.BudgetError{
-			Snapshot: f.snapshot, Budget: f.eng.cfg.budget(total),
-			Failed: failed, Total: total, Packages: packages,
+			Snapshot: f.snapshot, Budget: f.eng.cfg.budget(f.total),
+			Failed: failed, Total: f.total, Packages: packages,
 		}
 	}
 	return nil
@@ -482,19 +475,24 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 	return res, nil
 }
 
+// runSnapshot crawls one snapshot into its corpus. Both app sources list
+// the same apps in the same order (each category's top
+// playstore.ChartDepth in rank order, categories in store order), so an
+// app's position in the listing is its global index: shard contents do
+// not depend on scheduling, and the two sources produce byte-identical
+// corpora. Over HTTP each app is downloaded, delivery-checked and
+// extracted. In process, apps without an ML signal skip extraction, and
+// with a store the snapshot's apk record serves apps an earlier run of
+// this study packaged, without building or hashing them again.
 func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot, label string) (*analysis.Corpus, error) {
 	cfg := e.cfg
 	workers := cfg.workerCount()
 	shards := analysis.NewShardedCorpus(label, cfg.KeepGraphs, workers, e.cache)
-	analyse := e.newStage("analyse", label)
-	failures := e.newFailures(label)
 	// ingest adds one app's report to its shard and writes a cold report
 	// through. Errors carry stage attribution so a cancelled or failed run
-	// names the layer that observed it. hctx is the innermost pipeline
-	// context (the in-process path derives one that dies on the
-	// snapshot's own first failure).
-	ingest := func(hctx context.Context, idx int, category string, rep *extract.Report, key string, warm bool) error {
-		if err := shards.AddReport(hctx, idx, category, rep); err != nil {
+	// names the layer that observed it.
+	ingest := func(ctx context.Context, idx int, category string, rep *extract.Report, key string, warm bool) error {
+		if err := shards.AddReport(ctx, idx, category, rep); err != nil {
 			return errs.Stage("analyse", label, err)
 		}
 		if !warm {
@@ -510,14 +508,21 @@ func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot,
 	// overlap between the 2020 and 2021 crawls) skip graph decode
 	// entirely; with a store attached, whole identical APKs skip
 	// extraction.
-	handle := func(hctx context.Context, idx int, pkg, category string, apkBytes []byte) (string, error) {
+	handle := func(ctx context.Context, idx int, pkg, category string, apkBytes []byte) (string, error) {
 		e.packaged.Add(1)
-		rep, key, warm, err := e.loadReport(hctx, apkBytes)
+		rep, key, warm, err := e.loadReport(ctx, apkBytes)
 		if err != nil {
 			return "", errs.Stage("extract", label, fmt.Errorf("core: extracting %s: %w", pkg, err))
 		}
-		return key, ingest(hctx, idx, category, rep, key, warm)
+		return key, ingest(ctx, idx, category, rep, key, warm)
 	}
+
+	// pkgs is the listing; visit retrieves and ingests the app at idx.
+	var (
+		pkgs  []string
+		visit func(ctx context.Context, idx int) error
+		memo  *apkMemo
+	)
 	if cfg.UseHTTP {
 		srv := playstore.NewServer(snap)
 		base, shutdown, err := srv.Listen()
@@ -529,118 +534,97 @@ func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot,
 		if cfg.Transport != nil {
 			client.HTTPClient.Transport = cfg.Transport(label)
 		}
-		// The crawler serialises Progress calls and opens with (0, total);
-		// mirror the total onto the analyse stage, whose steps land after
-		// each app's ingest.
-		cr := &crawler.Crawler{
-			Client:         client,
-			MaxPerCategory: cfg.MaxPerCategory,
-			Workers:        workers,
-			Progress: func(done, total int) {
-				if done == 0 {
-					failures.setTotal(total)
-					analyse.start(total)
-					e.emit(event.StageStart{Stage: "crawl", Snapshot: label, Total: total})
-					return
-				}
-				e.emit(event.StageProgress{Stage: "crawl", Snapshot: label, Done: done, Total: total})
-				if done == total {
-					e.emit(event.StageDone{Stage: "crawl", Snapshot: label, Total: total})
-				}
-			},
-			// Download/delivery failures arrive here once the client's retry
-			// ladder gave up; admit them against the budget. A quarantined
-			// app never reaches handle, so step the analyse stage to keep
-			// its disposition count whole.
-			FailApp: func(idx int, m crawler.AppMeta, err error) error {
-				if qerr := failures.tolerate(m.Package, errs.Stage("crawl", label, err)); qerr != nil {
-					return qerr
-				}
-				analyse.step()
-				return nil
-			},
-		}
-		_, err = cr.Run(ctx, label, func(idx int, m crawler.AppMeta, apkBytes []byte) error {
-			if _, err := handle(ctx, idx, m.Package, m.Category, apkBytes); err != nil {
-				// Extraction and analysis failures are arbitrated like
-				// download failures; only persist errors (and cancellation)
-				// pass through tolerate and abort the crawl.
-				if qerr := failures.tolerate(m.Package, err); qerr != nil {
-					return qerr
-				}
-			}
-			analyse.step()
-			return nil
-		})
+		charts, err := client.Charts(ctx, playstore.ChartDepth, workers)
 		if err != nil {
 			return nil, errs.Stage("crawl", label, err)
 		}
-		return shards.Merge(), nil
-	}
-	// In-process path: package and extract without the HTTP hop, fanned
-	// out over the same worker pool. The app's position in snap.Apps is
-	// its global index, so shard contents (and the merged corpus) do not
-	// depend on scheduling. With a store, the snapshot's apk record
-	// serves apps an earlier run of this study packaged, without building
-	// or hashing them again.
-	memo := e.openAPKMemo(label)
-	total := len(snap.Apps)
-	failures.setTotal(total)
-	crawl := e.newStage("crawl", label)
-	crawl.start(total)
-	analyse.start(total)
-	// ictx dies on this snapshot's own first failure (errgroup.WithContext)
-	// as well as on run cancellation and the sibling's failure through the
-	// parent — so queued apps short-circuit promptly in every failure
-	// mode, like the v1 shared abort flag did; in-flight workers finish
-	// their current app and drain.
-	g, ictx := errgroup.WithContext(ctx)
-	g.SetLimit(workers)
-	for idx, a := range snap.Apps {
-		idx, a := idx, a
-		g.Go(func() error {
-			if ictx.Err() != nil {
-				return nil
+		pkgs = make([]string, len(charts))
+		for i, m := range charts {
+			pkgs[i] = m.Package
+		}
+		visit = func(ctx context.Context, idx int) error {
+			m := charts[idx]
+			apkBytes, err := client.DownloadAPK(ctx, m.Package)
+			if err != nil {
+				return errs.Stage("crawl", label, fmt.Errorf("crawler: download %s: %w", m.Package, err))
 			}
-			// Quarantine mirrors the HTTP path: a tolerated failure drops
-			// the app (no shard entry) but still steps both stages so
-			// disposition counts stay whole.
-			quarantine := func(err error) error {
-				if qerr := failures.tolerate(a.Package, err); qerr != nil {
-					return qerr
-				}
-				crawl.step()
-				analyse.step()
-				return nil
+			// The paper found no model shipped outside the base APK; the
+			// crawl still checks every app's companion files.
+			if _, err := client.Delivery(ctx, m.Package); err != nil {
+				return errs.Stage("crawl", label, fmt.Errorf("crawler: delivery %s: %w", m.Package, err))
 			}
+			_, err = handle(ctx, idx, m.Package, m.Category, apkBytes)
+			return err
+		}
+	} else {
+		apps := snap.Charts(playstore.ChartDepth)
+		pkgs = make([]string, len(apps))
+		for i, a := range apps {
+			pkgs[i] = a.Package
+		}
+		memo = e.openAPKMemo(label)
+		visit = func(ctx context.Context, idx int) error {
+			a := apps[idx]
 			if !needsExtraction(a) {
 				shards.AddApp(idx, analysis.AppInfo{Package: a.Package, Category: string(a.Category)})
-			} else {
-				recipe := memo.recipe(snap, a)
-				rep, key, ok := e.recordedReport(memo, recipe, a.Package)
-				if ok {
-					e.warmReports.Add(1)
-					if err := ingest(ictx, idx, string(a.Category), rep, key, true); err != nil {
-						return quarantine(err)
-					}
-				} else {
-					apkBytes, err := snap.BuildAPK(a)
-					if err != nil {
-						return quarantine(errs.Stage("crawl", label, fmt.Errorf("core: packaging %s: %w", a.Package, err)))
-					}
-					if key, err = handle(ictx, idx, a.Package, string(a.Category), apkBytes); err != nil {
-						return quarantine(err)
-					}
-				}
-				memo.record(recipe, key)
+				return nil
 			}
+			recipe := memo.recipe(snap, a)
+			rep, key, ok := e.recordedReport(memo, recipe, a.Package)
+			if ok {
+				e.warmReports.Add(1)
+				if err := ingest(ctx, idx, string(a.Category), rep, key, true); err != nil {
+					return err
+				}
+			} else {
+				apkBytes, err := snap.BuildAPK(a)
+				if err != nil {
+					return errs.Stage("crawl", label, fmt.Errorf("core: packaging %s: %w", a.Package, err))
+				}
+				if key, err = handle(ctx, idx, a.Package, string(a.Category), apkBytes); err != nil {
+					return err
+				}
+			}
+			memo.record(recipe, key)
+			return nil
+		}
+	}
+
+	total := len(pkgs)
+	failures := e.newFailures(label, total)
+	crawl, analyse := e.newStage("crawl", label), e.newStage("analyse", label)
+	crawl.start(total)
+	analyse.start(total)
+	// gctx dies on this snapshot's own first failure as well as on run
+	// cancellation and the sibling snapshot's failure through the parent,
+	// so queued apps short-circuit promptly in every failure mode;
+	// in-flight workers finish their current app and drain.
+	g, gctx := errgroup.WithContext(ctx)
+	g.SetLimit(workers)
+	for idx := range pkgs {
+		g.Go(func() error {
+			if gctx.Err() != nil {
+				return nil
+			}
+			if err := visit(gctx, idx); err != nil {
+				// A failure seen after the context died is most likely its
+				// echo, not the app's fault: return it, do not quarantine.
+				if gctx.Err() != nil {
+					return err
+				}
+				if err := failures.tolerate(pkgs[idx], err); err != nil {
+					return err
+				}
+			}
+			// A quarantined app steps both stages too, so disposition
+			// counts stay whole.
 			crawl.step()
 			analyse.step()
 			return nil
 		})
 	}
 	if err := g.Wait(); err != nil {
-		return nil, err
+		return nil, errs.Stage("crawl", label, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, errs.Stage("crawl", label, err)

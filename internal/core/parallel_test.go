@@ -81,9 +81,8 @@ func TestRunStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("workers=%d in-process study diverges from workers=1", workers)
 		}
 	}
-	// The HTTP transport must agree with itself across worker counts too
-	// (its corpus content matches in-process up to extraction nuances, so
-	// compare HTTP against HTTP).
+	// The HTTP source must agree with itself across worker counts too
+	// (TestRunStudyHTTPAndInProcessAgree holds it to the in-process bytes).
 	httpBase := run(1, true)
 	if got := run(5, true); !reflect.DeepEqual(httpBase, got) {
 		t.Fatal("workers=5 HTTP study diverges from workers=1")

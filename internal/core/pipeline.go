@@ -38,15 +38,16 @@ type Config struct {
 	// studies.
 	Seed int64
 	// Scale sizes the store relative to the paper's 16.6k-app crawl
-	// (1.0 = full scale; 0.02-0.1 for quick runs).
+	// (1.0 = full scale; 0.02-0.1 for quick runs), and so sets chart
+	// depth: a crawl visits each category's top 500×Scale apps, capped at
+	// the store's 500 (playstore.ChartDepth).
 	Scale float64
 	// UseHTTP routes the crawl through the store's HTTP API (the
-	// realistic path); false extracts in process for speed.
+	// realistic path); false extracts in process for speed. Both visit
+	// the same apps in the same order and produce byte-identical corpora.
 	UseHTTP bool
 	// KeepGraphs retains decoded graphs on the corpora for benchmarking.
 	KeepGraphs bool
-	// MaxPerCategory caps chart depth (500 in the paper).
-	MaxPerCategory int
 	// Workers bounds the per-snapshot crawl/extract/ingest fan-out.
 	// Zero (the default) uses GOMAXPROCS; results are byte-identical for
 	// a fixed seed regardless of the value. Both snapshots run
@@ -99,7 +100,7 @@ type Config struct {
 
 // DefaultConfig returns a quick-study configuration.
 func DefaultConfig(seed int64, scale float64) Config {
-	return Config{Seed: seed, Scale: scale, UseHTTP: true, KeepGraphs: true, MaxPerCategory: 500}
+	return Config{Seed: seed, Scale: scale, UseHTTP: true, KeepGraphs: true}
 }
 
 // workerCount resolves the Workers knob (0 = GOMAXPROCS).

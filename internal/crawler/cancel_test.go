@@ -3,69 +3,69 @@ package crawler
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/gaugenn/gaugenn/internal/playstore"
 	"github.com/gaugenn/gaugenn/internal/retry"
 	"github.com/gaugenn/gaugenn/internal/testutil"
 )
 
-// TestCrawlerRunCancelled cancels a crawl from inside the handle callback
-// and checks the contract: Run returns promptly (drained workers, no new
-// dispatches), the error chain carries context.Canceled, and the handled
-// prefix is consistent (every index delivered at most once).
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestCrawlerRunCancelled cancels a listing once three charts have been
+// served and checks the contract: Charts returns promptly with
+// context.Canceled on the chain and no partial listing, and leaves no
+// goroutine behind.
 func TestCrawlerRunCancelled(t *testing.T) {
 	testutil.NoLeakedGoroutines(t)
 	_, base := startStore(t, 0.02)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cr := &Crawler{Client: NewClient(base), MaxPerCategory: 500, Workers: 4}
-	var handled atomic.Int64
+	c := NewClient(base)
+	var charts atomic.Int64
+	c.HTTPClient.Transport = roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if req.URL.Path == "/fdfe/topCharts" && charts.Add(1) == 3 {
+			cancel()
+		}
+		return resp, err
+	})
 	type outcome struct {
-		res Result
-		err error
+		apps []AppMeta
+		err  error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := cr.Run(ctx, "cancelled", func(idx int, meta AppMeta, apkBytes []byte) error {
-			if handled.Add(1) == 3 {
-				cancel()
-			}
-			return nil
-		})
-		ch <- outcome{res, err}
+		apps, err := c.Charts(ctx, playstore.ChartDepth, 4)
+		ch <- outcome{apps, err}
 	}()
 	var o outcome
 	select {
 	case o = <-ch:
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled crawl did not return")
-	}
-	if o.err == nil {
-		t.Fatal("cancelled crawl returned nil error")
+		t.Fatal("cancelled listing did not return")
 	}
 	if !errors.Is(o.err, context.Canceled) {
 		t.Fatalf("cancellation not on the chain: %v", o.err)
 	}
-	if n := handled.Load(); n < 3 {
-		t.Fatalf("handled %d apps before cancel", n)
+	if o.apps != nil {
+		t.Fatalf("cancelled listing returned %d apps", len(o.apps))
 	}
 }
 
-// TestCrawlerRunPreCancelled: a dead context stops the crawl before the
-// first chart fetch completes the app phase.
+// TestCrawlerRunPreCancelled: a dead context lists nothing.
 func TestCrawlerRunPreCancelled(t *testing.T) {
 	_, base := startStore(t, 0.01)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cr := &Crawler{Client: NewClient(base), MaxPerCategory: 5}
-	_, err := cr.Run(ctx, "dead", func(idx int, meta AppMeta, apkBytes []byte) error {
-		t.Error("handle ran under a dead context")
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled crawl returned %v", err)
+	apps, err := NewClient(base).Charts(ctx, playstore.ChartDepth, 4)
+	if !errors.Is(err, context.Canceled) || apps != nil {
+		t.Fatalf("pre-cancelled listing returned %d apps, err %v", len(apps), err)
 	}
 }
 

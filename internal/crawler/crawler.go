@@ -1,23 +1,24 @@
-// Package crawler implements gaugeNN's store-facing collection step
-// (Section 3.1): it "mimics the web API calls made from the Google Play
-// store of a typical mobile device", fetching the top free apps per
-// category (up to 500), downloading each app's package and companion
-// files, and handing each app's store metadata and package to the caller.
+// Package crawler speaks the store's device API for gaugeNN's collection
+// step (Section 3.1): it "mimics the web API calls made from the Google
+// Play store of a typical mobile device". Charts lists the top free apps
+// of every category (up to 500) in crawl order; DownloadAPK and Delivery
+// fetch one app's package and companion-file manifest. The study engine
+// (internal/core) runs the per-app loop over that listing.
 package crawler
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"github.com/gaugenn/gaugenn/internal/android/apk"
 	"github.com/gaugenn/gaugenn/internal/errgroup"
-	"github.com/gaugenn/gaugenn/internal/errs"
 	"github.com/gaugenn/gaugenn/internal/retry"
 )
 
@@ -134,7 +135,8 @@ func (c *Client) getOnce(ctx context.Context, u, path string) (body []byte, retr
 	metResponseBytes.Add(uint64(len(body)))
 	if err != nil {
 		metRequestFailures.Inc()
-		return nil, true, fmt.Errorf("crawler: reading %s: %w", path, err)
+		retryable := !errors.Is(err, errBodyTooLarge)
+		return nil, retryable, fmt.Errorf("crawler: reading %s: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		metRequestFailures.Inc()
@@ -214,87 +216,30 @@ func (c *Client) Delivery(ctx context.Context, pkg string) (DeliveryManifest, er
 	return man, nil
 }
 
-// Crawler walks the whole store's category charts and downloads every
-// charted app.
-type Crawler struct {
-	Client *Client
-	// MaxPerCategory caps chart depth (500 in the paper).
-	MaxPerCategory int
-	// Workers bounds the crawl fan-out: chart fetches and per-app
-	// download+handle work run on up to Workers goroutines (<= 1 crawls
-	// sequentially). The handle callback must be safe for concurrent use
-	// when Workers > 1.
-	Workers int
-	// Progress, when non-nil, receives (done, total) after each app, plus
-	// one (0, total) stage-start call before any app is dispatched so
-	// consumers learn the total up front. Calls are serialised even when
-	// Workers > 1.
-	Progress func(done, total int)
-	// FailApp, when non-nil, arbitrates per-app failures (download or
-	// delivery, after the client's retry ladder gave up): return nil to
-	// quarantine the app — it is skipped, counted in Progress but not in
-	// Result.Apps, and handle never sees it — or return an error to abort
-	// the crawl. Nil FailApp aborts on the first failure, as does any
-	// context cancellation (cancellations never reach FailApp). Called
-	// concurrently when Workers > 1.
-	FailApp func(idx int, meta AppMeta, err error) error
-}
-
-// Result summarises a crawl.
-type Result struct {
-	Label      string
-	Categories int
-	Apps       int
-	APKBytes   int64
-	// CompanionFiles counts OBBs and asset packs encountered; the paper
-	// "found no models being distributed outside of the main apk".
-	CompanionFiles int
-}
-
-// Run crawls every category chart and invokes handle for each downloaded
-// app, passing the app's chart metadata alongside its APK bytes.
+// Charts lists the store's apps in crawl order: every category's top
+// chart, depth apps deep, with categories in store order and apps in rank
+// order. An app's position in the list is its global crawl index, which
+// downstream sharded ingestion uses to keep results byte-identical
+// regardless of the worker count.
 //
-// ctx bounds the whole crawl: cancellation stops dispatching new apps,
-// aborts in-flight HTTP requests, and Run returns ctx's error once the
-// in-flight workers drain — typically well inside a second. A cancelled
-// crawl's Result counts only apps whose handle call completed.
-//
-// handle receives the app's global crawl index — its deterministic
-// position in chart order (categories in store order, apps in rank order)
-// — which downstream sharded ingestion uses to keep results byte-identical
-// regardless of the worker count. With Workers > 1, handle runs
-// concurrently and its invocation order is scheduling-dependent; only the
-// index stream is deterministic.
-func (cr *Crawler) Run(ctx context.Context, label string, handle func(idx int, meta AppMeta, apkBytes []byte) error) (Result, error) {
-	res := Result{Label: label}
-	cats, err := cr.Client.Categories(ctx)
+// Chart fetches are independent and fan out over up to workers goroutines
+// (<= 1 fetches sequentially). The first chart failure cancels the fetches
+// still queued or in flight, and cancelling ctx returns ctx's error with
+// no partial listing.
+func (c *Client) Charts(ctx context.Context, depth, workers int) ([]AppMeta, error) {
+	cats, err := c.Categories(ctx)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	res.Categories = len(cats)
-	maxN := cr.MaxPerCategory
-	if maxN <= 0 {
-		maxN = 500
-	}
-	workers := cr.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Chart fetches are independent; fan out while keeping category order.
-	// cctx dies on the first chart failure (fail-fast across the
-	// remaining categories' retry ladders) as well as on run cancellation
-	// or a sibling pipeline's failure through the parent context.
 	charts := make([][]AppMeta, len(cats))
-	cg, cctx := errgroup.WithContext(ctx)
-	cg.SetLimit(workers)
+	g, gctx := errgroup.WithContext(ctx)
+	g.SetLimit(max(workers, 1))
 	for i, cat := range cats {
-		i, cat := i, cat
-		cg.Go(func() error {
-			if cctx.Err() != nil {
+		g.Go(func() error {
+			if gctx.Err() != nil {
 				return nil
 			}
-			chart, err := cr.Client.TopChart(cctx, cat, maxN)
+			chart, err := c.TopChart(gctx, cat, depth)
 			if err != nil {
 				return fmt.Errorf("crawler: chart %s: %w", cat, err)
 			}
@@ -302,135 +247,69 @@ func (cr *Crawler) Run(ctx context.Context, label string, handle func(idx int, m
 			return nil
 		})
 	}
-	if err := cg.Wait(); err != nil {
-		return res, err
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled while fetching charts; keep partial charts out of the
-		// app phase.
-		return res, err
-	}
-	var items []AppMeta
-	for _, chart := range charts {
-		items = append(items, chart...)
-	}
-	total := len(items)
-	if cr.Progress != nil {
-		// Stage start: announce the total before dispatching, so staged
-		// consumers (the study engine's analyse stage) know it up front.
-		cr.Progress(0, total)
-	}
-
-	// Per-app fan-out: download, delivery check and the handle callback
-	// all run on the worker pool. Result accounting and Progress are
-	// serialised under mu; actx dies on the first failure
-	// (errgroup.WithContext), short-circuiting queued work and aborting
-	// in-flight sibling downloads.
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	g, actx := errgroup.WithContext(ctx)
-	g.SetLimit(workers)
-	for idx, meta := range items {
-		idx, meta := idx, meta
-		g.Go(func() error {
-			if actx.Err() != nil {
-				return nil
-			}
-			quarantine := func(err error) (bool, error) {
-				// Cancellation is not an app failure; a tolerated failure
-				// still steps Progress so totals stay consistent.
-				if cr.FailApp == nil || actx.Err() != nil || errs.IsContextError(err) {
-					return false, err
-				}
-				if ferr := cr.FailApp(idx, meta, err); ferr != nil {
-					return false, ferr
-				}
-				mu.Lock()
-				done++
-				if cr.Progress != nil {
-					cr.Progress(done, total)
-				}
-				mu.Unlock()
-				return true, nil
-			}
-			apkBytes, err := cr.Client.DownloadAPK(actx, meta.Package)
-			if err != nil {
-				skipped, err := quarantine(fmt.Errorf("crawler: download %s: %w", meta.Package, err))
-				if skipped {
-					return nil
-				}
-				return err
-			}
-			man, err := cr.Client.Delivery(actx, meta.Package)
-			if err != nil {
-				skipped, err := quarantine(fmt.Errorf("crawler: delivery %s: %w", meta.Package, err))
-				if skipped {
-					return nil
-				}
-				return err
-			}
-			if handle != nil {
-				if err := handle(idx, meta, apkBytes); err != nil {
-					return fmt.Errorf("crawler: handling %s: %w", meta.Package, err)
-				}
-			}
-			mu.Lock()
-			res.CompanionFiles += len(man.OBBs) + len(man.AssetPacks)
-			res.Apps++
-			res.APKBytes += int64(len(apkBytes))
-			done++
-			if cr.Progress != nil {
-				cr.Progress(done, total)
-			}
-			mu.Unlock()
-			return nil
-		})
-	}
 	if err := g.Wait(); err != nil {
-		return res, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		// Every worker drained without an error of its own: the crawl was
-		// cancelled. Surface the context error so callers can distinguish
-		// "interrupted" from "complete".
-		return res, err
+		return nil, err
 	}
-	return res, nil
+	var apps []AppMeta
+	for _, chart := range charts {
+		apps = append(apps, chart...)
+	}
+	return apps, nil
 }
 
-// readBody drains a response body into a buffer pre-sized from the
-// Content-Length hint, so a 100 MB APK download costs one allocation
-// instead of io.ReadAll's ~18 doubling regrowths. The hint is only trusted
-// up to the store's base-APK ceiling (a hostile header cannot force an
-// arbitrary allocation); unknown or implausible lengths fall back to
-// io.ReadAll.
+// errBodyTooLarge rejects a response body past apk.MaxBaseAPKSize: the
+// store serves nothing larger than a base APK, and asking again returns
+// the same body, so the client does not retry it.
+var errBodyTooLarge = fmt.Errorf("crawler: response body exceeds the %d-byte cap", apk.MaxBaseAPKSize)
+
+// maxChunk bounds each buffer readBody fills for a body of unknown length.
+const maxChunk = 1 << 20
+
+// readBody reads a whole response body of at most apk.MaxBaseAPKSize
+// bytes. A declared Content-Length sizes the first buffer, so a 100 MB APK
+// download costs one allocation instead of a regrowing buffer's dozens. A
+// body of unknown length (chunked) fills buffers of up to maxChunk bytes
+// that are joined once at the end: a stream past the cap fails after
+// allocating about the cap, not a regrown buffer's multiples of it.
 func readBody(r io.Reader, contentLength int64) ([]byte, error) {
-	if contentLength <= 0 || contentLength > apk.MaxBaseAPKSize {
-		return io.ReadAll(r)
+	if contentLength > apk.MaxBaseAPKSize {
+		return nil, errBodyTooLarge
 	}
-	// One spare byte lets the final Read report io.EOF without growing.
-	buf := make([]byte, 0, contentLength+1)
+	size := 512
+	if contentLength > 0 {
+		// One spare byte lets the final Read report io.EOF without growing.
+		size = int(contentLength) + 1
+	}
+	var (
+		full  [][]byte
+		total int
+	)
+	buf := make([]byte, 0, size)
 	for {
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		if total+len(buf) > apk.MaxBaseAPKSize {
+			return nil, errBodyTooLarge
+		}
 		if err == io.EOF {
-			return buf, nil
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
 		if len(buf) == cap(buf) {
-			// Body exceeds the declared length; let ReadAll finish the
-			// (malformed, but tolerated) remainder.
-			rest, err := io.ReadAll(r)
-			if err != nil {
-				return nil, err
-			}
-			return append(buf, rest...), nil
+			full = append(full, buf)
+			total += len(buf)
+			buf = make([]byte, 0, min(2*cap(buf), maxChunk))
 		}
 	}
+	if full == nil {
+		return buf, nil
+	}
+	return bytes.Join(append(full, buf), nil), nil
 }
 
 func truncate(b []byte, n int) string {

@@ -2,11 +2,13 @@ package crawler
 
 import (
 	"context"
-	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/gaugenn/gaugenn/internal/playstore"
 )
@@ -85,145 +87,119 @@ func TestClientRequiresHeaders(t *testing.T) {
 	}
 }
 
+// TestCrawlerRun checks the crawl's listing: Charts returns every charted
+// app once, in crawl order (categories in store order, apps in rank
+// order), which is the generated snapshot's own order.
 func TestCrawlerRun(t *testing.T) {
 	study, base := startStore(t, 0.02)
-	cr := &Crawler{
-		Client:         NewClient(base),
-		MaxPerCategory: 500,
-	}
-	apps := 0
-	var apkTotal int64
-	seenIdx := map[int]bool{}
-	categories := map[string]bool{}
-	res, err := cr.Run(context.Background(), "2021", func(idx int, meta AppMeta, apkBytes []byte) error {
-		apps++
-		apkTotal += int64(len(apkBytes))
-		if meta.Package == "" || len(apkBytes) == 0 {
-			t.Errorf("bad handle args for %+v", meta)
-		}
-		if meta.Category == "" {
-			t.Errorf("no category for %+v", meta)
-		}
-		categories[meta.Category] = true
-		if seenIdx[idx] {
-			t.Errorf("index %d delivered twice", idx)
-		}
-		seenIdx[idx] = true
-		return nil
-	})
+	apps, err := NewClient(base).Charts(context.Background(), playstore.ChartDepth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Apps != len(study.Snap21.Apps) {
-		t.Fatalf("crawled %d apps, store has %d", res.Apps, len(study.Snap21.Apps))
+	want := study.Snap21.Apps
+	if len(apps) != len(want) {
+		t.Fatalf("listed %d apps, store has %d", len(apps), len(want))
 	}
-	if res.Apps != apps {
-		t.Fatal("handler call count mismatch")
-	}
-	if res.Categories != 33 {
-		t.Fatalf("categories = %d", res.Categories)
-	}
-	if res.CompanionFiles != 0 {
-		t.Fatal("paper finding: no companion-file models")
-	}
-	if res.APKBytes != apkTotal {
-		t.Fatal("APK byte accounting mismatch")
-	}
-	// Every app arrived with its chart's category.
-	if !categories["COMMUNICATION"] {
-		t.Fatalf("no COMMUNICATION app among categories %v", categories)
-	}
-	// Every crawl index in [0, total) was delivered exactly once.
-	for i := 0; i < res.Apps; i++ {
-		if !seenIdx[i] {
-			t.Fatalf("index %d never delivered", i)
+	for i, a := range want {
+		if got := apps[i]; got.Package != a.Package || got.Category != string(a.Category) || got.Rank != a.Rank {
+			t.Fatalf("listing[%d] = %+v, want %s (%s #%d)", i, got, a.Package, a.Category, a.Rank)
 		}
 	}
 }
 
+// TestCrawlerRunParallelMatchesSequential: the listing, and so every
+// app's crawl index, does not depend on how many charts are fetched at
+// once.
 func TestCrawlerRunParallelMatchesSequential(t *testing.T) {
-	study, base := startStore(t, 0.02)
-	crawl := func(workers int) (Result, map[int]string) {
-		t.Helper()
-		var mu sync.Mutex
-		pkgAt := map[int]string{}
-		cr := &Crawler{Client: NewClient(base), MaxPerCategory: 500, Workers: workers}
-		res, err := cr.Run(context.Background(), "par", func(idx int, meta AppMeta, apkBytes []byte) error {
-			if len(apkBytes) == 0 {
-				return fmt.Errorf("empty apk for %s", meta.Package)
-			}
-			mu.Lock()
-			pkgAt[idx] = meta.Package
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, pkgAt
-	}
-	seqRes, seqPkgs := crawl(1)
-	parRes, parPkgs := crawl(8)
-	if seqRes.Apps != len(study.Snap21.Apps) || parRes.Apps != seqRes.Apps {
-		t.Fatalf("app counts diverge: seq=%d par=%d store=%d", seqRes.Apps, parRes.Apps, len(study.Snap21.Apps))
-	}
-	if parRes.APKBytes != seqRes.APKBytes || parRes.CompanionFiles != seqRes.CompanionFiles {
-		t.Fatalf("accounting diverges: seq=%+v par=%+v", seqRes, parRes)
-	}
-	if len(seqPkgs) != len(parPkgs) {
-		t.Fatalf("handle count diverges: seq=%d par=%d", len(seqPkgs), len(parPkgs))
-	}
-	// The index -> package assignment is deterministic across worker counts.
-	for idx, pkg := range seqPkgs {
-		if parPkgs[idx] != pkg {
-			t.Fatalf("index %d: seq=%s par=%s", idx, pkg, parPkgs[idx])
-		}
-	}
-}
-
-func TestCrawlerParallelStopsOnHandleError(t *testing.T) {
 	_, base := startStore(t, 0.02)
-	cr := &Crawler{Client: NewClient(base), MaxPerCategory: 500, Workers: 4}
-	var calls atomic.Int64
-	_, err := cr.Run(context.Background(), "err", func(idx int, meta AppMeta, apkBytes []byte) error {
-		if calls.Add(1) == 3 {
-			return fmt.Errorf("synthetic handler failure")
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "synthetic handler failure") {
-		t.Fatalf("handler error not surfaced: %v", err)
+	c := NewClient(base)
+	seq, err := c.Charts(context.Background(), playstore.ChartDepth, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := c.Charts(context.Background(), playstore.ChartDepth, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq) == 0 || !reflect.DeepEqual(seq, par) {
+		t.Fatalf("listings diverge: %d apps with 1 worker, %d with 8", len(seq), len(par))
 	}
 }
 
+// TestCrawlerParallelStopsOnChartError fails the first category's chart
+// and holds every other chart request open until its client gives up:
+// Charts returns only if the failure cancels the fetches in flight, and
+// the fetches still queued never start.
+func TestCrawlerParallelStopsOnChartError(t *testing.T) {
+	study, err := playstore.GenerateStudy(playstore.DefaultConfig(21, 0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := playstore.NewServer(study.Snap21)
+	failCat := string(playstore.Categories()[0])
+	var charts atomic.Int64
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/fdfe/topCharts" {
+			store.ServeHTTP(w, r)
+			return
+		}
+		charts.Add(1)
+		if r.URL.Query().Get("cat") == failCat {
+			http.Error(w, "chart index unavailable", http.StatusNotFound)
+			return
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(release) })
+
+	const workers = 4
+	type outcome struct {
+		apps []AppMeta
+		err  error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		apps, err := NewClient(srv.URL).Charts(context.Background(), playstore.ChartDepth, workers)
+		ch <- outcome{apps, err}
+	}()
+	var o outcome
+	select {
+	case o = <-ch:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a failed chart did not cancel the fetches in flight")
+	}
+	if o.err == nil || !strings.Contains(o.err.Error(), "chart "+failCat) || o.apps != nil {
+		t.Fatalf("chart failure not surfaced: %d apps, err %v", len(o.apps), o.err)
+	}
+	if n := charts.Load(); n > workers {
+		t.Fatalf("%d chart requests, want at most %d: queued fetches started after the failure", n, workers)
+	}
+}
+
+// TestCrawlerChartCap: Charts lists each category's top depth apps.
 func TestCrawlerChartCap(t *testing.T) {
-	_, base := startStore(t, 0.02)
-	cr := &Crawler{Client: NewClient(base), MaxPerCategory: 3}
-	res, err := cr.Run(context.Background(), "capped", nil)
+	study, base := startStore(t, 0.02)
+	apps, err := NewClient(base).Charts(context.Background(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Apps != 33*3 {
-		t.Fatalf("capped crawl = %d apps, want %d", res.Apps, 33*3)
+	var want []string
+	for _, c := range playstore.Categories() {
+		for _, a := range study.Snap21.TopChart(c, 3) {
+			want = append(want, a.Package)
+		}
 	}
-}
-
-func TestCrawlerProgress(t *testing.T) {
-	_, base := startStore(t, 0.01)
-	var last, total int
-	cr := &Crawler{
-		Client:         NewClient(base),
-		MaxPerCategory: 2,
-		Progress: func(done, t int) {
-			last, total = done, t
-		},
+	var got []string
+	for _, a := range apps {
+		got = append(got, a.Package)
 	}
-	res, err := cr.Run(context.Background(), "p", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != res.Apps || total != res.Apps {
-		t.Fatalf("progress: last=%d total=%d apps=%d", last, total, res.Apps)
+	if len(got) != 33*3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("capped listing = %d apps %v, want %d", len(got), got, 33*3)
 	}
 }
 

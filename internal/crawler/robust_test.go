@@ -7,12 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/gaugenn/gaugenn/internal/android/apk"
 	"github.com/gaugenn/gaugenn/internal/retry"
 )
 
@@ -113,106 +114,38 @@ func TestClientBreakerFailsFast(t *testing.T) {
 	}
 }
 
-// quarantineStore serves a two-app chart where one APK download always
-// 500s, exercising the FailApp tolerance path end-to-end.
-func quarantineStore(t *testing.T, failPkg string) *httptest.Server {
-	t.Helper()
+// TestClientRefusesOversizedBody streams a chunked body one byte past the
+// base-APK cap. The download must fail naming the cap after one request
+// (asking again returns the same body), and reading it must allocate
+// about the cap: io.ReadAll's regrowth allocated about five times the
+// body, without bound.
+func TestClientRefusesOversizedBody(t *testing.T) {
+	var requests atomic.Int64
+	chunk := make([]byte, 1<<20)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/fdfe/categories":
-			json.NewEncoder(w).Encode([]string{"COMMUNICATION"})
-		case "/fdfe/topCharts":
-			json.NewEncoder(w).Encode([]AppMeta{
-				{Package: "com.good.app", Category: "COMMUNICATION", Rank: 1},
-				{Package: failPkg, Category: "COMMUNICATION", Rank: 2},
-			})
-		case "/fdfe/purchase":
-			if r.URL.Query().Get("doc") == failPkg {
-				http.Error(w, "storage backend lost the apk", http.StatusInternalServerError)
+		requests.Add(1)
+		// No Content-Length: a body past the server's buffer goes out chunked.
+		for left := apk.MaxBaseAPKSize + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
 				return
 			}
-			w.Write([]byte("apk-bytes"))
-		case "/fdfe/delivery":
-			json.NewEncoder(w).Encode(DeliveryManifest{Package: r.URL.Query().Get("doc")})
-		default:
-			http.NotFound(w, r)
 		}
 	}))
 	t.Cleanup(srv.Close)
-	return srv
-}
 
-func TestCrawlerFailAppQuarantinesAndContinues(t *testing.T) {
-	srv := quarantineStore(t, "com.broken.app")
-	c := NewClient(srv.URL)
-	c.Retry = &retry.Policy{Attempts: 2, BaseDelay: time.Millisecond, Multiplier: 1}
-
-	var mu sync.Mutex
-	var quarantined []string
-	var handled []string
-	var progress []int
-	cr := &Crawler{
-		Client: c,
-		FailApp: func(idx int, meta AppMeta, err error) error {
-			mu.Lock()
-			quarantined = append(quarantined, meta.Package)
-			mu.Unlock()
-			if err == nil || !strings.Contains(err.Error(), "500") {
-				return fmt.Errorf("unexpected quarantine cause: %w", err)
-			}
-			return nil
-		},
-		Progress: func(done, total int) {
-			mu.Lock()
-			progress = append(progress, done)
-			mu.Unlock()
-		},
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := NewClient(srv.URL).DownloadAPK(context.Background(), "com.huge.app")
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(apk.MaxBaseAPKSize)) {
+		t.Fatalf("err = %v, want one naming the %d-byte cap", err, apk.MaxBaseAPKSize)
 	}
-	res, err := cr.Run(context.Background(), "2021", func(idx int, meta AppMeta, apkBytes []byte) error {
-		mu.Lock()
-		handled = append(handled, meta.Package)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("quarantined failure must not abort the crawl: %v", err)
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("%d requests, want 1: an oversized body must not be retried", n)
 	}
-	if len(quarantined) != 1 || quarantined[0] != "com.broken.app" {
-		t.Fatalf("quarantined = %v, want [com.broken.app]", quarantined)
-	}
-	if len(handled) != 1 || handled[0] != "com.good.app" {
-		t.Fatalf("handled = %v, want [com.good.app]", handled)
-	}
-	if res.Apps != 1 {
-		t.Fatalf("res.Apps = %d, want 1 (quarantined app not counted)", res.Apps)
-	}
-	last := progress[len(progress)-1]
-	if last != 2 {
-		t.Fatalf("final progress = %d, want 2 (quarantined app still steps)", last)
-	}
-}
-
-func TestCrawlerNilFailAppAbortsAsBefore(t *testing.T) {
-	srv := quarantineStore(t, "com.broken.app")
-	c := NewClient(srv.URL)
-	c.Retry = &retry.Policy{Attempts: 2, BaseDelay: time.Millisecond, Multiplier: 1}
-	cr := &Crawler{Client: c}
-	if _, err := cr.Run(context.Background(), "2021", nil); err == nil {
-		t.Fatal("nil FailApp must abort on a per-app failure")
-	}
-}
-
-func TestCrawlerFailAppErrorAborts(t *testing.T) {
-	srv := quarantineStore(t, "com.broken.app")
-	c := NewClient(srv.URL)
-	c.Retry = &retry.Policy{Attempts: 2, BaseDelay: time.Millisecond, Multiplier: 1}
-	sentinel := errors.New("budget blown")
-	cr := &Crawler{
-		Client:  c,
-		FailApp: func(int, AppMeta, error) error { return sentinel },
-	}
-	_, err := cr.Run(context.Background(), "2021", nil)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want the FailApp verdict", err)
+	const bound = 3 * apk.MaxBaseAPKSize / 2
+	if rise := after.TotalAlloc - before.TotalAlloc; rise > bound {
+		t.Fatalf("reading the body allocated %d MiB, want at most %d MiB", rise>>20, bound>>20)
 	}
 }

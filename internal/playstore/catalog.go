@@ -130,6 +130,17 @@ func (s *Snapshot) TopChart(cat Category, n int) []*App {
 	return out
 }
 
+// Charts lists every category's top chart, depth apps deep: categories in
+// Categories order, apps in rank order. It is the order a crawl of the
+// store visits apps in, and at scales up to 1 it is Apps' own order.
+func (s *Snapshot) Charts(depth int) []*App {
+	out := make([]*App, 0, len(s.Apps))
+	for _, c := range Categories() {
+		out = append(out, s.TopChart(c, depth)...)
+	}
+	return out
+}
+
 // ModelCount returns the total number of model instances in the snapshot.
 func (s *Snapshot) ModelCount() int {
 	n := 0

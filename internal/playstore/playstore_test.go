@@ -51,6 +51,28 @@ func TestGenerateStudyRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestChartsFollowAppOrder pins the crawl's listing: at scales up to 1
+// no category outgrows ChartDepth, so a crawl visits exactly the
+// snapshot's apps in the snapshot's own order, and each app's crawl index
+// is its position in Apps.
+func TestChartsFollowAppOrder(t *testing.T) {
+	for _, scale := range []float64{0.02, 0.1} {
+		st, err := GenerateStudy(DefaultConfig(7, scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, snap := range []*Snapshot{st.Snap20, st.Snap21} {
+			if got := snap.Charts(ChartDepth); !reflect.DeepEqual(got, snap.Apps) {
+				t.Fatalf("scale %g, %s: listing of %d apps is not the snapshot's %d in order", scale, snap.Label, len(got), len(snap.Apps))
+			}
+			capped := snap.Charts(2)
+			if len(capped) != 2*len(Categories()) || capped[1].Rank != 2 || capped[2].Category != Categories()[1] {
+				t.Fatalf("scale %g, %s: a 2-deep listing is not each category's top 2", scale, snap.Label)
+			}
+		}
+	}
+}
+
 func TestSnapshotPopulationShape(t *testing.T) {
 	st := testStudy(t)
 	cfg := DefaultConfig(7, testScale)

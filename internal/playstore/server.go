@@ -106,23 +106,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// ChartDepth is the most apps a category's top chart lists: the store API
+// returns "a maximum of 500 apps" per category, so a crawl visits each
+// category's top 500 and no more.
+const ChartDepth = 500
+
 func (s *Server) handleTopCharts(w http.ResponseWriter, r *http.Request) {
 	cat := Category(r.URL.Query().Get("cat"))
 	if cat == "" {
 		http.Error(w, "missing cat", http.StatusBadRequest)
 		return
 	}
-	n := 500
+	n := ChartDepth
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v <= 0 {
 			http.Error(w, "bad n", http.StatusBadRequest)
 			return
 		}
-		n = v
-	}
-	if n > 500 {
-		n = 500 // the real store caps chart depth at 500
+		n = min(v, ChartDepth)
 	}
 	apps := s.snap.TopChart(cat, n)
 	entries := make([]ChartEntry, len(apps))

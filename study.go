@@ -122,11 +122,6 @@ func WithHTTPCrawl(use bool) Option {
 	return func(c *core.Config) { c.UseHTTP = use }
 }
 
-// WithMaxPerCategory caps chart depth (default 500, as in the paper).
-func WithMaxPerCategory(n int) Option {
-	return func(c *core.Config) { c.MaxPerCategory = n }
-}
-
 // WithFailureBudget sets the per-snapshot fraction of apps allowed to
 // fail (quarantined, study continues) before the run aborts with
 // ErrBudgetExceeded. Zero keeps the 5% default; a negative value demands
