@@ -1,7 +1,8 @@
 // Package exec is gaugeNN's in-process inference engine: a topological-order
 // interpreter over the internal/nn/graph IR with reference fp32 kernels for
 // the operator vocabulary the corpus actually uses, an int8 quantized path
-// whose MAC loops read the graph's raw weight bytes without copying, a
+// (exact integer MAC over kernels Compile packs or widens once per
+// program; weight-only int8 kernels are read in place), a
 // liveness-planned tensor arena (buffers reused across layers, zero
 // allocations per op in steady state) and a worker-pool batch executor with
 // deterministic result ordering (Pool).
@@ -52,8 +53,9 @@ type tensorInfo struct {
 	isOutput  bool
 }
 
-// step is one compiled layer: resolved tensor ids, decoded (fp32) or
-// borrowed (int8) weights and the hyperparameters kernels need.
+// step is one compiled layer: resolved tensor ids, weights decoded (fp32),
+// borrowed or copied into a kernel's layout (int8), and the
+// hyperparameters kernels need.
 type step struct {
 	name  string
 	op    graph.OpType
@@ -65,19 +67,25 @@ type step struct {
 
 	// Weight views. Float32/float16 weights are decoded once at compile
 	// time into wFloat/bFloat. The heavy kernel tensor of int8
-	// conv/depthwise/dense layers stays as the graph's raw bytes in wRaw —
-	// the MAC loops index it directly, so loading a quantized model copies
-	// no kernel weight data. Small secondary tensors (bias, γ/β, PRelu α)
-	// are widened to fp32 at compile whatever their dtype.
-	wFloat []float32
-	bFloat []float32
-	wRaw   []byte
-	wScale float64
+	// conv/depthwise/dense layers stays as the graph's raw bytes in wRaw,
+	// which the W8 loops index directly. A layer with int8/uint8
+	// activations (the Q8 loops) also gets a copy of its kernel made once,
+	// at 4 bytes per weight: conv2d and dense pack it two output channels
+	// per int64 (wPacked, see packQ8), depthwise widens it to float32
+	// integers (wWide, see dwConvQ8). Small secondary tensors (bias, γ/β,
+	// PRelu α) are widened to fp32 at compile whatever their dtype.
+	wFloat  []float32
+	bFloat  []float32
+	wRaw    []byte
+	wPacked []int64
+	wWide   []float32
+	wScale  float64
 }
 
 // Program is a compiled, immutable execution plan shared by any number of
-// Instances (one per worker). It owns the decoded fp32 weights and the
-// arena layout; all mutable run state lives in the Instance.
+// Instances (one per worker). It owns the decoded fp32 weights, the Q8
+// kernel copies and the arena layout; all mutable run state lives in the
+// Instance.
 type Program struct {
 	Graph *Graphless
 
@@ -248,11 +256,8 @@ func Compile(g *graph.Graph) (*Program, error) {
 			}
 			st.out = tid
 		}
-		// Static quantization parameters: a quantize layer declares its
-		// output's scale/zero-point; everything else inherits dynamically.
-		if l.Op == graph.OpQuantize && l.Attrs.Scale > 0 {
-			p.tensors[st.out].scale = l.Attrs.Scale
-			p.tensors[st.out].zeroPoint = int32(l.Attrs.ZeroPoint)
+		if err := setQuantParams(&p.tensors[st.out], l); err != nil {
+			return nil, fmt.Errorf("exec: layer %q: %w", l.Name, err)
 		}
 		var inShape graph.Shape
 		if len(st.in) > 0 {
@@ -263,6 +268,16 @@ func Compile(g *graph.Graph) (*Program, error) {
 		}
 		if err := checkWeightSizes(&st, &p.tensors[st.in[0]], &p.tensors[st.out]); err != nil {
 			return nil, fmt.Errorf("exec: layer %q: %w", l.Name, err)
+		}
+		if err := checkKernelShapes(&st, &p.tensors[st.in[0]], &p.tensors[st.out]); err != nil {
+			return nil, fmt.Errorf("exec: layer %q: %w", l.Name, err)
+		}
+		if dt := p.tensors[st.in[0]].dtype; st.wRaw != nil && (dt == graph.Int8 || dt == graph.UInt8) {
+			if st.op == graph.OpDepthwiseConv2D {
+				st.wWide = decodeInt8(st.wRaw, 1)
+			} else {
+				st.wPacked = packQ8(st.wRaw, lastDimOf(p.tensors[st.out].shape))
+			}
 		}
 		p.steps = append(p.steps, st)
 	}
@@ -289,13 +304,36 @@ func Compile(g *graph.Graph) (*Program, error) {
 	return p, nil
 }
 
+// setQuantParams checks a quantize or dequantize layer's output dtype and
+// records a quantize layer's static parameters: it declares its output's
+// scale and zero point; everything else inherits them dynamically. A
+// quantize layer must store a quantized dtype and a dequantize layer
+// float32, and a static zero point must be a code its dtype can store,
+// which also bounds every zero-point-corrected Q8 input (see qPass).
+func setQuantParams(out *tensorInfo, l *graph.Layer) error {
+	switch {
+	case l.Op == graph.OpQuantize && out.isFloat:
+		return fmt.Errorf("quantize output is %s, want int8, uint8 or int16", out.dtype)
+	case l.Op == graph.OpDequantize && !out.isFloat:
+		return fmt.Errorf("dequantize output is %s, want float32", out.dtype)
+	case l.Op != graph.OpQuantize || l.Attrs.Scale <= 0:
+		return nil
+	}
+	if lo, hi := quantRange(out.dtype); float64(l.Attrs.ZeroPoint) < lo || float64(l.Attrs.ZeroPoint) > hi {
+		return fmt.Errorf("zero point %d is outside the %s range", l.Attrs.ZeroPoint, out.dtype)
+	}
+	out.scale, out.zeroPoint = l.Attrs.Scale, int32(l.Attrs.ZeroPoint)
+	return nil
+}
+
 // resolveWeights turns a layer's weight list into the step's kernel views.
 // Layer conventions follow the builder: conv/dense carry [kernel, bias],
 // batch-norm [gamma, beta], prelu an optional per-channel alpha. Float
 // weights (fp32 bit-cast, fp16 widened) decode once; the int8 kernel
-// tensor of MAC layers is borrowed raw and never copied; graphs whose
-// weights were stripped (DetachWeights before CAS storage) get
-// deterministic synthetic kernels so any stored model stays runnable.
+// tensor of MAC layers is borrowed raw (Compile then copies it for the Q8
+// loops); graphs whose weights were stripped (DetachWeights before CAS
+// storage) get deterministic synthetic kernels so any stored model stays
+// runnable.
 func resolveWeights(st *step, l *graph.Layer, weightScale float64, inShape graph.Shape) error {
 	st.wScale = weightScale
 	if l.Attrs.Scale > 0 && l.Op != graph.OpQuantize && l.Op != graph.OpDequantize {
@@ -316,7 +354,7 @@ func resolveWeights(st *step, l *graph.Layer, weightScale float64, inShape graph
 			f = decodeFloat16(w.Data)
 		case graph.Int8:
 			if wi == 0 && macOp {
-				raw = w.Data // borrowed: the int8 MAC path never copies kernels
+				raw = w.Data // borrowed, not copied
 			} else {
 				f = decodeInt8(w.Data, st.wScale)
 			}
@@ -362,6 +400,29 @@ func checkWeightSizes(st *step, in, out *tensorInfo) error {
 	}
 	if st.bFloat != nil && len(st.bFloat) != outC {
 		return fmt.Errorf("bias holds %d values, the layer has %d output channels", len(st.bFloat), outC)
+	}
+	return nil
+}
+
+// checkKernelShapes rejects a layer that shape inference accepts but whose
+// kernel would index outside its buffers: a pad by a negative width, a
+// slice or mean over a rank outside 1 to maxKernelRank, and a resize from
+// an input without rows or columns (shape inference has checked that a
+// resize input is rank 4).
+func checkKernelShapes(st *step, in, out *tensorInfo) error {
+	switch st.op {
+	case graph.OpPad:
+		if st.attrs.PadH < 0 || st.attrs.PadW < 0 {
+			return fmt.Errorf("negative padding %d×%d", st.attrs.PadH, st.attrs.PadW)
+		}
+	case graph.OpSlice, graph.OpStridedSlice, graph.OpMean:
+		if r := len(in.shape); r == 0 || r > maxKernelRank {
+			return fmt.Errorf("input of rank %d, the kernel takes 1 to %d", r, maxKernelRank)
+		}
+	case graph.OpResizeBilinear, graph.OpResizeNearest:
+		if in.shape[1] <= 0 || in.shape[2] <= 0 {
+			return fmt.Errorf("resizes a %v input", in.shape)
+		}
 	}
 	return nil
 }

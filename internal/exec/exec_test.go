@@ -320,3 +320,52 @@ func TestCompileRejectsMisSizedWeights(t *testing.T) {
 		})
 	}
 }
+
+// unrunnableLayers are one-layer graphs that graph.Validate and shape
+// inference accept but that Run cannot execute as declared: most index
+// outside their buffers, dequantize-f32 would write its result into the
+// float arena at its int8 output's byte offset, and
+// quantize-zero-point-200 declares a zero point no int8 code holds. Their
+// encodings are also FuzzCompileRun seeds in testdata/fuzz.
+func unrunnableLayers() map[string]*graph.Graph {
+	oneLayer := func(in graph.Tensor, l graph.Layer) *graph.Graph {
+		l.Name, l.Inputs, l.Outputs = "l", []string{"x"}, []string{"y"}
+		in.Name = "x"
+		return &graph.Graph{Name: "unrunnable", Inputs: []graph.Tensor{in}, Outputs: []graph.Tensor{{Name: "y"}}, Layers: []graph.Layer{l}}
+	}
+	f32 := func(shape ...int) graph.Tensor { return graph.Tensor{Shape: shape, DType: graph.Float32} }
+	rank9 := graph.Shape{1, 1, 1, 1, 1, 1, 1, 1, 2}
+	return map[string]*graph.Graph{
+		"quantize-float32-output": oneLayer(f32(1, 8), graph.Layer{Op: graph.OpQuantize,
+			Attrs: graph.Attrs{OutDType: graph.Float32, OutDTypeSet: true}}),
+		"dequantize-int8-output": oneLayer(graph.Tensor{Shape: graph.Shape{1, 8}, DType: graph.Int8}, graph.Layer{Op: graph.OpDequantize,
+			Attrs: graph.Attrs{OutDType: graph.Int8, OutDTypeSet: true}}),
+		"quantize-zero-point-200": oneLayer(f32(1, 8), graph.Layer{Op: graph.OpQuantize,
+			Attrs: graph.Attrs{Scale: 0.1, ZeroPoint: 200, OutDType: graph.Int8, OutDTypeSet: true}}),
+		"pad-negative":   oneLayer(f32(1, 4, 4, 2), graph.Layer{Op: graph.OpPad, Attrs: graph.Attrs{PadH: -1, PadW: -1}}),
+		"slice-rank0":    oneLayer(f32(), graph.Layer{Op: graph.OpSlice}),
+		"slice-rank9":    oneLayer(f32(rank9...), graph.Layer{Op: graph.OpSlice, Attrs: graph.Attrs{Begin: make([]int, 9), Size: []int{1, 1, 1, 1, 1, 1, 1, 1, 1}}}),
+		"mean-rank9":     oneLayer(f32(rank9...), graph.Layer{Op: graph.OpMean, Attrs: graph.Attrs{ReduceAxes: []int{8}}}),
+		"resize-0x0-in":  oneLayer(f32(1, 0, 0, 1), graph.Layer{Op: graph.OpResizeBilinear, Attrs: graph.Attrs{TargetH: 2, TargetW: 2}}),
+		"dequantize-f32": oneLayer(f32(1, 8), graph.Layer{Op: graph.OpDequantize, Attrs: graph.Attrs{OutDType: graph.Int8, OutDTypeSet: true}}),
+	}
+}
+
+// TestCompileRejectsUnrunnableLayers requires Compile to refuse each of
+// unrunnableLayers with an error naming the layer, instead of Run panicking
+// or writing past the tensor it produces.
+func TestCompileRejectsUnrunnableLayers(t *testing.T) {
+	for name, g := range unrunnableLayers() {
+		t.Run(name, func(t *testing.T) {
+			if err := g.Validate(); err != nil {
+				t.Fatalf("graph.Validate = %v; the case needs a graph it accepts", err)
+			}
+			if _, err := g.InferShapes(); err != nil {
+				t.Fatalf("InferShapes = %v; the case needs shapes that infer", err)
+			}
+			if _, err := Compile(g); err == nil || !strings.Contains(err.Error(), `layer "l"`) {
+				t.Fatalf("Compile = %v, want an error naming layer \"l\"", err)
+			}
+		})
+	}
+}

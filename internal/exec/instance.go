@@ -186,12 +186,12 @@ func (in *Instance) floatViewAt(tid int, off *int) []float32 {
 	return seg
 }
 
-// storeQuant dynamic-range requantizes a real-valued result into a
-// quantized tensor's byte buffer: scale = maxabs/limit, zero-point 0 (128
-// for uint8).
-func (in *Instance) storeQuant(tid int, src []float32) {
+// storeQuant dynamic-range requantizes a real-valued result whose largest
+// |v| is amax into a quantized tensor's byte buffer: scale = amax/limit,
+// zero-point 0 (128 for uint8).
+func (in *Instance) storeQuant(tid int, src []float32, amax float32) {
 	t := &in.prog.tensors[tid]
-	scale := maxAbs(src) / quantLimit(t.dtype)
+	scale := float64(amax) / quantLimit(t.dtype)
 	if scale == 0 {
 		scale = 1
 	}
@@ -216,7 +216,7 @@ func (in *Instance) runStep(st *step) {
 			requantize(in.raw(st.out), src, out.dtype, out.scale, out.zeroPoint)
 			in.scales[st.out], in.zps[st.out] = out.scale, out.zeroPoint
 		} else {
-			in.storeQuant(st.out, src)
+			in.storeQuant(st.out, src, absMax(0, src))
 		}
 		return
 	case graph.OpDequantize:
@@ -247,32 +247,37 @@ func (in *Instance) runMAC(st *step, out *tensorInfo) {
 		return
 	}
 	// Quantized activations stage their real-valued result in scratch,
-	// then dynamic-range requantize into the output buffer.
+	// then dynamic-range requantize into the output buffer. Compile built
+	// a Q8 kernel for int8 weights over int8/uint8 activations; the Q8
+	// kernels apply the fused activation and return the result's range.
 	dst := in.scratch[:out.elems]
-	if st.wRaw != nil && (t0.dtype == graph.Int8 || t0.dtype == graph.UInt8) {
+	if st.wPacked != nil || st.wWide != nil {
 		src := in.raw(st.in[0])
-		unsigned := t0.dtype == graph.UInt8
+		zp, unsigned := in.zps[st.in[0]], t0.dtype == graph.UInt8
 		epi := float32(in.scales[st.in[0]] * st.wScale)
+		var amax float32
 		switch st.op {
 		case graph.OpConv2D:
-			conv2dQ8(dst, src, in.zps[st.in[0]], unsigned, st.wRaw, st.bFloat, epi, t0.shape, out.shape, st.attrs)
+			amax = conv2dQ8(dst, src, zp, unsigned, st.wPacked, st.bFloat, epi, st.fused, t0.shape, out.shape, st.attrs)
 		case graph.OpDepthwiseConv2D:
-			dwConvQ8(dst, src, in.zps[st.in[0]], unsigned, st.wRaw, st.bFloat, epi, t0.shape, out.shape, st.attrs)
+			xq := in.scratch[out.elems:] // staging past the output, as for the float fallback
+			amax = dwConvQ8(dst, xq, src, zp, unsigned, st.wWide, st.bFloat, epi, st.fused, t0.shape, out.shape, st.attrs)
 		default:
 			batch, inF, units := denseDims(t0, out)
-			denseQ8(dst, src, in.zps[st.in[0]], unsigned, st.wRaw, st.bFloat, epi, batch, inF, units)
+			amax = denseQ8(dst, src, zp, unsigned, st.wPacked, st.bFloat, epi, st.fused, batch, inF, units)
 		}
-	} else {
-		// Int16 (or float-weight) fallback: dequantize activations to
-		// scratch past the output staging region, then run the float path.
-		off := out.elems
-		src := in.floatViewAt(st.in[0], &off)
-		in.macFloat(st, src, dst, t0, out)
+		in.storeQuant(st.out, dst, amax)
+		return
 	}
+	// Int16 (or float-weight) fallback: dequantize activations to scratch
+	// past the output staging region, then run the float path.
+	off := out.elems
+	src := in.floatViewAt(st.in[0], &off)
+	in.macFloat(st, src, dst, t0, out)
 	if st.fused.Valid() {
 		applyActivation(dst, st.fused, nil, lastDimOf(out.shape))
 	}
-	in.storeQuant(st.out, dst)
+	in.storeQuant(st.out, dst, absMax(0, dst))
 }
 
 func (in *Instance) macFloat(st *step, src, dst []float32, t0, out *tensorInfo) {
@@ -381,7 +386,7 @@ func (in *Instance) runGeneric(st *step, out *tensorInfo) {
 		applyActivation(dst, st.fused, nil, lastDimOf(out.shape))
 	}
 	if !out.isFloat {
-		in.storeQuant(st.out, dst)
+		in.storeQuant(st.out, dst, absMax(0, dst))
 	}
 }
 

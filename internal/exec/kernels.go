@@ -58,6 +58,10 @@ func dilationOf(a graph.Attrs) int {
 // (kh, kw) for depthwise and f for dense, then the W8 weight scale, then
 // the bias — so the interchange moves no output bit; int32 sums are exact
 // in any order. kernels_ref_test.go keeps that scalar loop as the oracle.
+// The Q8 kernels carry their int32 sums in wider forms that give the same
+// integers: conv2d and dense sum two output channels per int64 lane
+// (packQ8), depthwise sums small integers in float32, which holds them
+// exactly (qDepthTaps).
 
 // convTile is how many output channels conv2dF32 sums at once in
 // registers; the remaining outC mod convTile accumulate in dst.
@@ -66,6 +70,13 @@ const convTile = 8
 // qBlock is the size of the stack block of int32 sums the Q8 kernels fill:
 // output channels are summed qBlock at a time.
 const qBlock = 256
+
+// qPass bounds how many products a packed Q8 lane sums between flushes.
+// A zero-point-corrected input lies in [-255, 255] (Compile keeps static
+// zero points inside their dtype's range) and a weight in [-128, 127], so
+// a pass's low-lane sum stays below 65536·255·128 < 2^31 in magnitude:
+// inside int32 range, which is what lets q8Flush split a lane exactly.
+const qPass = 1 << 16
 
 // tapRange returns the kernel taps [k0, k1) whose input coordinate
 // origin + k·dil lies in [0, size); the taps outside read padding.
@@ -108,8 +119,8 @@ func w8Epilogue(y, bias []float32, wScale float32) {
 }
 
 // q8Epilogue writes real = sum · scale (+ bias[base+j]) for one block of
-// int32 sums.
-func q8Epilogue(y []float32, sums []int32, bias []float32, base int, scale float32) {
+// int32 sums, or of float32 sums holding integers exactly (y may be sums).
+func q8Epilogue[S int32 | float32](y []float32, sums []S, bias []float32, base int, scale float32) {
 	y = y[:len(sums)]
 	for j, s := range sums {
 		r := float32(s) * scale
@@ -117,6 +128,78 @@ func q8Epilogue(y []float32, sums []int32, bias []float32, base int, scale float
 			r += bias[base+j]
 		}
 		y[j] = r
+	}
+}
+
+// q8Finish ends one output row of a Q8 MAC step (a pixel's channels, or a
+// dense row) while it is still in cache: it applies the step's fused
+// activation and folds the row's largest |v| into m, the step's dynamic
+// range. Activations are per element or, for softmax, per row of the
+// channel axis, so rows give the values one pass over the whole output
+// would.
+func q8Finish(y []float32, act graph.OpType, m float32) float32 {
+	if act.Valid() {
+		applyActivation(y, act, nil, len(y))
+	}
+	return absMax(m, y)
+}
+
+// packQ8 packs int8 weight rows of outC values two output channels per
+// int64: lane j of a row holds int64(w[2j]) + int64(w[2j+1])<<32, its high
+// half 0 past an odd outC. One 64-bit multiply-add then advances two int32
+// sums: q·lane adds q·w[2j] to the low half and q·w[2j+1] to the high
+// half, the low half's sign borrowing from the high half (q8Flush undoes
+// the borrow).
+func packQ8(w []byte, outC int) []int64 {
+	lanes := (outC + 1) / 2
+	p := make([]int64, len(w)/outC*lanes)
+	for r := range len(w) / outC {
+		row, dst := w[r*outC:][:outC], p[r*lanes:][:lanes]
+		for j := range dst {
+			var hi int64
+			if 2*j+1 < outC {
+				hi = int64(int8(row[2*j+1]))
+			}
+			dst[j] = int64(int8(row[2*j])) + hi<<32
+		}
+	}
+	return p
+}
+
+// q8Lanes multiplies each zero-point-corrected input of x into the packed
+// lanes L, against the packed weight row that starts at w[wi] (rows rowL
+// lanes apart); zero inputs add nothing and are skipped. It returns the
+// index of the row after x's last. It stays a call: inlined into the
+// kernels' loop nests, its per-input loop reloaded its operands from the
+// stack and ran conv2dQ8 15-20 % slower on amd64.
+//
+//go:noinline
+func q8Lanes(L []int64, x []byte, flip byte, off int32, w []int64, wi, rowL int) int {
+	for _, b := range x {
+		if q := int64(int32(int8(b^flip)) + off); q != 0 {
+			r := w[wi:][:len(L)]
+			for j, p := range r {
+				L[j] += q * p
+			}
+		}
+		wi += rowL
+	}
+	return wi
+}
+
+// q8Flush adds each lane's two int32 sums into sums, wrapping as int32
+// accumulators do, and clears the lanes. The low sum is the lane's low 32
+// bits; subtracting it sign-extended removes its borrow, leaving the high
+// sum in the top 32 bits. Both are the exact int32 sums because qPass
+// keeps a pass's low sum inside int32 range.
+func q8Flush(sums []int32, L []int64) {
+	for j, l := range L {
+		lo := int32(l)
+		sums[2*j] += lo
+		if 2*j+1 < len(sums) {
+			sums[2*j+1] += int32((l - int64(lo)) >> 32)
+		}
+		L[j] = 0
 	}
 }
 
@@ -242,18 +325,22 @@ func conv2dW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 }
 
 // conv2dQ8 is the full int8 path: integer MAC over quantized activations
-// and raw int8 weight bytes into a stack block of int32 sums, with a float
-// epilogue real = acc · inScale · wScale + bias staged into dst
-// (caller-provided float scratch) for dynamic requantization.
-func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
+// and the packed weights (packQ8) into packed lanes, flushed into a stack
+// block of int32 sums, with a float epilogue
+// real = acc · inScale · wScale + bias staged into dst (caller-provided
+// float scratch) and the fused activation applied row by row. It returns
+// the largest |real| written, the output's dynamic range.
+func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []int64, bias []float32, outScale float32, act graph.OpType, in, out graph.Shape, a graph.Attrs) float32 {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
 	dil := dilationOf(a)
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
-	tapW := inC * outC
+	rowL := (outC + 1) / 2 // lanes per packed weight row
 	flip, off := quantFlip(srcUnsigned, srcZP)
+	var lanes [qBlock / 2]int64
 	var acc [qBlock]int32
+	var amax float32
 	for n := 0; n < in[0]; n++ {
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
@@ -266,27 +353,31 @@ func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte
 				y := dstN[(oh*outW+ow)*outC:][:outC]
 				for oc := 0; oc < outC; oc += qBlock {
 					sums := acc[:min(qBlock, outC-oc)]
+					L := lanes[:(len(sums)+1)/2]
 					clear(sums)
+					left := qPass
 					for kh := kh0; kh < kh1; kh++ {
 						for kw := kw0; kw < kw1; kw++ {
 							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
-							wi := (kh*a.KernelW+kw)*tapW + oc
-							for _, b := range x {
-								if q := int32(int8(b^flip)) + off; q != 0 {
-									r := w[wi:][:len(sums)]
-									for j, wb := range r {
-										sums[j] += q * int32(int8(wb))
-									}
-								}
-								wi += outC
+							wi := (kh*a.KernelW+kw)*inC*rowL + oc/2
+							for len(x) > left {
+								wi = q8Lanes(L, x[:left], flip, off, w, wi, rowL)
+								x = x[left:]
+								q8Flush(sums, L)
+								left = qPass
 							}
+							q8Lanes(L, x, flip, off, w, wi, rowL)
+							left -= len(x)
 						}
 					}
+					q8Flush(sums, L)
 					q8Epilogue(y[oc:], sums, bias, oc, outScale)
 				}
+				amax = q8Finish(y, act, amax)
 			}
 		}
 	}
+	return amax
 }
 
 // dwConvF32 is depthwise convolution: each input channel convolved with its
@@ -375,9 +466,22 @@ func dwConvW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 	}
 }
 
-// dwConvQ8 is the full int8 depthwise path (integer MAC into a stack block
-// of int32 sums, float epilogue into scratch).
-func dwConvQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
+// qDepthTaps is how many taps dwConvQ8 sums in float32 before it moves
+// the sums into int32. A product of a zero-point-corrected input and a
+// weight is an integer of magnitude at most 255·128, and float32 holds
+// every integer below 2^24 exactly; qDepthTaps·255·128 < 2^24, so every
+// float32 sum is exact.
+const qDepthTaps = 514
+
+// dwConvQ8 is the full int8 depthwise path. It stages the zero-point-
+// corrected inputs in xq as float32 and multiplies them by the kernel's
+// int8 weights held as float32 (w): both are small integers, so every
+// product and every sum of up to qDepthTaps products is exact, and summing
+// in float32 gives the int32 sums bit for bit at the fp32 kernel's speed.
+// A pixel with more valid taps moves its sums into a stack block of int32
+// every qDepthTaps taps. The epilogue, fused activation and returned range
+// are conv2dQ8's.
+func dwConvQ8(dst, xq []float32, src []byte, srcZP int32, srcUnsigned bool, w, bias []float32, outScale float32, act graph.OpType, in, out graph.Shape, a graph.Attrs) float32 {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
 	mult := outC / inC
@@ -385,9 +489,14 @@ func dwConvQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
 	flip, off := quantFlip(srcUnsigned, srcZP)
+	xq = xq[:len(src)]
+	for i, b := range src {
+		xq[i] = float32(int32(int8(b^flip)) + off)
+	}
 	var acc [qBlock]int32
+	var amax float32
 	for n := 0; n < in[0]; n++ {
-		srcN := src[n*inH*inW*inC:]
+		srcN := xq[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
 			ih0 := oh*a.StrideH - padT
@@ -397,28 +506,54 @@ func dwConvQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte
 				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
 				y := dstN[(oh*outW+ow)*outC:][:outC]
 				for oc := 0; oc < outC; oc += qBlock {
-					sums := acc[:min(qBlock, outC-oc)]
+					sums := y[oc:min(oc+qBlock, outC)]
 					clear(sums)
+					flushed, left := false, qDepthTaps
 					for kh := kh0; kh < kh1; kh++ {
 						for kw := kw0; kw < kw1; kw++ {
+							if left == 0 {
+								if !flushed {
+									clear(acc[:len(sums)])
+								}
+								q8DepthFlush(acc[:len(sums)], sums)
+								flushed, left = true, qDepthTaps
+							}
+							left--
 							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
 							r := w[(kh*a.KernelW+kw)*outC+oc:][:len(sums)]
 							if mult == 1 {
-								xs := x[oc:][:len(sums)]
-								for j, wb := range r {
-									sums[j] += (int32(int8(xs[j]^flip)) + off) * int32(int8(wb))
+								x = x[oc:][:len(sums)]
+								for j, wv := range r {
+									sums[j] += x[j] * wv
 								}
 								continue
 							}
-							for j, wb := range r {
-								sums[j] += (int32(int8(x[(oc+j)/mult]^flip)) + off) * int32(int8(wb))
+							for j, wv := range r {
+								sums[j] += x[(oc+j)/mult] * wv
 							}
 						}
 					}
-					q8Epilogue(y[oc:], sums, bias, oc, outScale)
+					if flushed {
+						for j, s := range acc[:len(sums)] {
+							sums[j] = float32(s + int32(sums[j]))
+						}
+					}
+					q8Epilogue(sums, sums, bias, oc, outScale)
 				}
+				amax = q8Finish(y, act, amax)
 			}
 		}
+	}
+	return amax
+}
+
+// q8DepthFlush adds exact float32 sums into int32 ones, wrapping as int32
+// accumulators do, and clears the float32 sums.
+func q8DepthFlush(acc []int32, sums []float32) {
+	acc = acc[:len(sums)]
+	for j, s := range sums {
+		acc[j] += int32(s)
+		sums[j] = 0
 	}
 }
 
@@ -454,26 +589,33 @@ func denseW8(dst, src []float32, w []byte, bias []float32, wScale float32, batch
 	}
 }
 
-func denseQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, batch, inF, units int) {
+// denseQ8 is the full int8 fully connected layer over the packed weights
+// (packQ8), with conv2dQ8's lanes, epilogue and returned range.
+func denseQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []int64, bias []float32, outScale float32, act graph.OpType, batch, inF, units int) float32 {
+	rowL := (units + 1) / 2
 	flip, off := quantFlip(srcUnsigned, srcZP)
+	var lanes [qBlock / 2]int64
 	var acc [qBlock]int32
+	var amax float32
 	for n := 0; n < batch; n++ {
-		x := src[n*inF : (n+1)*inF]
 		y := dst[n*units : (n+1)*units]
 		for u := 0; u < units; u += qBlock {
 			sums := acc[:min(qBlock, units-u)]
+			L := lanes[:(len(sums)+1)/2]
 			clear(sums)
-			for f, b := range x {
-				if q := int32(int8(b^flip)) + off; q != 0 {
-					r := w[f*units+u:][:len(sums)]
-					for j, wb := range r {
-						sums[j] += q * int32(int8(wb))
-					}
-				}
+			x, wi := src[n*inF:(n+1)*inF], u/2
+			for len(x) > qPass {
+				wi = q8Lanes(L, x[:qPass], flip, off, w, wi, rowL)
+				x = x[qPass:]
+				q8Flush(sums, L)
 			}
+			q8Lanes(L, x, flip, off, w, wi, rowL)
+			q8Flush(sums, L)
 			q8Epilogue(y[u:], sums, bias, u, outScale)
 		}
+		amax = q8Finish(y, act, amax)
 	}
+	return amax
 }
 
 // transposeConv2dF32 scatters each input pixel through the kernel into the
@@ -807,6 +949,11 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
+// maxKernelRank is the largest rank meanF32 and sliceF32 take: their
+// coordinate arrays are fixed-size so that they never allocate (Compile
+// rejects a larger rank).
+const maxKernelRank = 8
+
 // meanF32 reduces src over the given axes into dst (already shaped by
 // inference; dst length is the product of kept dims). Uses fixed-size
 // coordinate buffers so reduction never allocates.
@@ -815,7 +962,7 @@ func meanF32(dst, src []float32, in graph.Shape, reduceAxes []int) {
 		dst[i] = 0
 	}
 	rank := len(in)
-	var reduce [8]bool
+	var reduce [maxKernelRank]bool
 	count := 1
 	for _, ax := range reduceAxes {
 		if ax < 0 {
@@ -829,7 +976,7 @@ func meanF32(dst, src []float32, in graph.Shape, reduceAxes []int) {
 		}
 	}
 	// Strides of the kept dims inside dst.
-	var outStride [8]int
+	var outStride [maxKernelRank]int
 	stride := 1
 	for i := rank - 1; i >= 0; i-- {
 		if !reduce[i] {
@@ -837,7 +984,7 @@ func meanF32(dst, src []float32, in graph.Shape, reduceAxes []int) {
 			stride *= in[i]
 		}
 	}
-	var coord [8]int
+	var coord [maxKernelRank]int
 	for si := range src {
 		oi := 0
 		for i := 0; i < rank; i++ {
@@ -892,18 +1039,18 @@ func concatF32(dst []float32, srcs [][]float32, shapes []graph.Shape, axis int) 
 // sliceF32 copies the Begin/Size window (Size -1 = to the end).
 func sliceF32(dst, src []float32, in, out graph.Shape, begin []int) {
 	rank := len(in)
-	var b [8]int
+	var b [maxKernelRank]int
 	for i := 0; i < rank && i < len(begin); i++ {
 		b[i] = begin[i]
 	}
-	var inStride [8]int
+	var inStride [maxKernelRank]int
 	stride := 1
 	for i := rank - 1; i >= 0; i-- {
 		inStride[i] = stride
 		stride *= in[i]
 	}
 	inner := out[rank-1]
-	var coord [8]int
+	var coord [maxKernelRank]int
 	n := len(dst) / inner
 	for r := 0; r < n; r++ {
 		si := 0

@@ -334,3 +334,20 @@ func denseQ8Ref(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []by
 		}
 	}
 }
+
+// maxAbsRef is the dynamic range by the sign-branch loop: the largest |v|,
+// taken by negating negative values, so NaN is ignored and -0 counts as 0.
+// The Q8 kernels' returned range and absMax must agree with it bit for
+// bit.
+func maxAbsRef(x []float32) float32 {
+	var m float32
+	for _, v := range x {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}

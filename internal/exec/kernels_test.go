@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -109,11 +110,11 @@ func TestQ8IntegerMAC(t *testing.T) {
 	dst := make([]float32, 1)
 	src := []byte{0x02, 0xFD}
 	w := []byte{0x05, 0x07}
-	denseQ8(dst, src, 0, false, w, nil, float32(0.1*0.01), 1, 2, 1)
+	denseQ8(dst, src, 0, false, packQ8(w, 1), nil, float32(0.1*0.01), graph.OpInvalid, 1, 2, 1)
 	almost(t, "q8 dense", dst, []float32{-0.011}, 1e-7)
 
 	// uint8 input with zero-point 128: q=130 ≡ +2, q=125 ≡ -3.
-	denseQ8(dst, []byte{130, 125}, 128, true, w, nil, float32(0.1*0.01), 1, 2, 1)
+	denseQ8(dst, []byte{130, 125}, 128, true, packQ8(w, 1), nil, float32(0.1*0.01), graph.OpInvalid, 1, 2, 1)
 	almost(t, "q8 dense u8", dst, []float32{-0.011}, 1e-7)
 }
 
@@ -241,7 +242,7 @@ func TestQuantRoundTrip(t *testing.T) {
 	src := []float32{-1.27, -0.5, 0, 0.3, 1.27}
 	for _, dt := range []graph.DType{graph.Int8, graph.UInt8, graph.Int16} {
 		buf := make([]byte, len(src)*dt.Size())
-		scale := maxAbs(src) / quantLimit(dt)
+		scale := float64(absMax(0, src)) / quantLimit(dt)
 		var zp int32
 		if dt == graph.UInt8 {
 			zp = 128
@@ -250,6 +251,58 @@ func TestQuantRoundTrip(t *testing.T) {
 		back := make([]float32, len(src))
 		dequantize(back, buf, dt, scale, zp)
 		almost(t, "roundtrip "+dt.String(), back, src, scale/2+1e-7)
+	}
+}
+
+// TestRequantizeSaturates stores values at and past each dtype's range at
+// scale 1: rounding is half to even, a value past the range stores the
+// range's nearest end (±Inf and ±1e10 included, which overflow int32), and
+// NaN stores the zero point.
+func TestRequantizeSaturates(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	src := []float32{1e10, -1e10, inf, -inf, nan, 2.2e7, -2.2e7, 126.6, 127.4, 200, 0.5, -0.5, 1.5, -1.5, 2.5}
+	for _, tc := range []struct {
+		dt   graph.DType
+		zp   int32
+		want []int32
+	}{
+		{graph.Int8, 0, []int32{127, -128, 127, -128, 0, 127, -128, 127, 127, 127, 0, 0, 2, -2, 2}},
+		{graph.UInt8, 128, []int32{255, 0, 255, 0, 128, 255, 0, 255, 255, 255, 128, 128, 130, 126, 130}},
+		{graph.Int16, 0, []int32{32767, -32768, 32767, -32768, 0, 32767, -32768, 127, 127, 200, 0, 0, 2, -2, 2}},
+	} {
+		buf := make([]byte, len(src)*tc.dt.Size())
+		requantize(buf, src, tc.dt, 1, tc.zp)
+		for i, want := range tc.want {
+			var got int32
+			switch tc.dt {
+			case graph.UInt8:
+				got = int32(buf[i])
+			case graph.Int16:
+				got = int32(int16(binary.LittleEndian.Uint16(buf[i*2:])))
+			default:
+				got = int32(int8(buf[i]))
+			}
+			if got != want {
+				t.Errorf("%s zero point %d: %v stored %d, want %d", tc.dt, tc.zp, src[i], got, want)
+			}
+		}
+	}
+}
+
+// TestAbsMaxMatchesSignBranch checks the sign-masked range against
+// maxAbsRef on the values where the two could part: NaN is ignored, -0
+// counts as 0 and -Inf as +Inf.
+func TestAbsMaxMatchesSignBranch(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	for _, x := range [][]float32{
+		nil, {negZero}, {nan}, {nan, -3, 2}, {-3, nan, 2}, {1, -inf}, {inf, nan},
+		{-1e-45, 1e-45}, {-2.5, 2.5, -0.1}, {negZero, -1, negZero},
+	} {
+		got, want := absMax(0, x), maxAbsRef(x)
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Errorf("absMax(%v) = %v, sign-branch loop %v", x, got, want)
+		}
 	}
 }
 
@@ -263,12 +316,31 @@ func TestFloat16Decode(t *testing.T) {
 }
 
 // The oracle test's kernel pairs: each production MAC kernel with its
-// scalar reference from kernels_ref_test.go.
+// scalar reference from kernels_ref_test.go. A Q8 kernel also applies the
+// fused activation and returns its output's range, which the reference
+// leaves to applyActivation and maxAbsRef.
 type (
-	f32Conv func(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs)
-	w8Conv  func(dst, src []float32, w []byte, bias []float32, wScale float32, in, out graph.Shape, a graph.Attrs)
-	q8Conv  func(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs)
+	f32Conv   func(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs)
+	w8Conv    func(dst, src []float32, w []byte, bias []float32, wScale float32, in, out graph.Shape, a graph.Attrs)
+	q8Conv    func(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, act graph.OpType, in, out graph.Shape, a graph.Attrs) float32
+	q8ConvRef func(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs)
 )
+
+// conv2dQ8Packed runs conv2dQ8 on w packed as Compile packs it.
+func conv2dQ8Packed(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, act graph.OpType, in, out graph.Shape, a graph.Attrs) float32 {
+	return conv2dQ8(dst, src, srcZP, srcUnsigned, packQ8(w, out[3]), bias, outScale, act, in, out, a)
+}
+
+// dwConvQ8Wide runs dwConvQ8 on w widened as Compile widens it, staging
+// its inputs in a fresh buffer.
+func dwConvQ8Wide(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, act graph.OpType, in, out graph.Shape, a graph.Attrs) float32 {
+	return dwConvQ8(dst, make([]float32, len(src)), src, srcZP, srcUnsigned, decodeInt8(w, 1), bias, outScale, act, in, out, a)
+}
+
+// q8Activations are the fused activations the Q8 oracle cases rotate
+// through, none first.
+var q8Activations = []graph.OpType{graph.OpInvalid, graph.OpReLU, graph.OpReLU6, graph.OpHardSwish,
+	graph.OpSoftmax, graph.OpSigmoid, graph.OpTanh, graph.OpPRelu}
 
 // TestKernelsMatchScalarOracle runs every MAC kernel and its scalar oracle
 // on seeded random data and requires the outputs to be bit-identical: the
@@ -292,12 +364,13 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 		op          graph.OpType
 		f32, f32Ref f32Conv
 		w8, w8Ref   w8Conv
-		q8, q8Ref   q8Conv
+		q8          q8Conv
+		q8Ref       q8ConvRef
 	}{
-		{graph.OpConv2D, conv2dF32, conv2dF32Ref, conv2dW8, conv2dW8Ref, conv2dQ8, conv2dQ8Ref},
-		{graph.OpDepthwiseConv2D, dwConvF32, dwConvF32Ref, dwConvW8, dwConvW8Ref, dwConvQ8, dwConvQ8Ref},
+		{graph.OpConv2D, conv2dF32, conv2dF32Ref, conv2dW8, conv2dW8Ref, conv2dQ8Packed, conv2dQ8Ref},
+		{graph.OpDepthwiseConv2D, dwConvF32, dwConvF32Ref, dwConvW8, dwConvW8Ref, dwConvQ8Wide, dwConvQ8Ref},
 	}
-	for _, tc := range []struct {
+	for ci, tc := range []struct {
 		name          string
 		n, h, w, c    int
 		kh, kw        int
@@ -314,6 +387,10 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 		{"5x5/same/outC300", 1, 5, 4, 3, 5, 5, 300, 1, 1, 1, "same", true},
 		{"3x3/same/inC300/outC9", 1, 4, 4, 300, 3, 3, 9, 1, 1, 1, "same", true},
 		{"3x3/same/stride2/dilation2/batch2/inC1", 2, 9, 9, 1, 3, 3, 17, 2, 2, 2, "same", false},
+		// 529 taps: past qDepthTaps, so depthwise sums leave float32 once
+		// in the interior and never at the SAME-padded border.
+		{"23x23/valid/inC3/outC5", 1, 25, 24, 3, 23, 23, 5, 1, 1, 1, "valid", true},
+		{"23x23/same/inC2/outC2", 1, 24, 24, 2, 23, 23, 2, 1, 1, 1, "same", false},
 	} {
 		a := graph.Attrs{
 			KernelH: tc.kh, KernelW: tc.kw, StrideH: tc.stride, StrideW: tc.stride,
@@ -342,16 +419,19 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 			matchOracle(t, name+"/W8", n, func(dst []float32, ref bool) {
 				pick(k.w8, k.w8Ref, ref)(dst, x, wq, bias, wScale, in, out, a)
 			})
+			act := q8Activations[ci%len(q8Activations)]
 			for _, qi := range quantInputs {
 				xq := randBytes(rng, len(x), byte(qi.zp))
-				matchOracle(t, name+"/Q8/"+qi.name, n, func(dst []float32, ref bool) {
-					pick(k.q8, k.q8Ref, ref)(dst, xq, qi.zp, qi.unsigned, wq, bias, outScale, in, out, a)
-				})
+				matchQ8Oracle(t, name+"/Q8/"+qi.name+"/"+act.String(), n, out[3], act,
+					func(dst []float32) float32 {
+						return k.q8(dst, xq, qi.zp, qi.unsigned, wq, bias, outScale, act, in, out, a)
+					},
+					func(dst []float32) { k.q8Ref(dst, xq, qi.zp, qi.unsigned, wq, bias, outScale, in, out, a) })
 			}
 		}
 	}
 
-	for _, tc := range []struct {
+	for di, tc := range []struct {
 		batch, inF, units int
 		bias              bool
 	}{
@@ -375,12 +455,81 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 		matchOracle(t, name+"/W8", n, func(dst []float32, ref bool) {
 			pick(denseW8, denseW8Ref, ref)(dst, x, wq, bias, wScale, tc.batch, tc.inF, tc.units)
 		})
+		act := q8Activations[di%len(q8Activations)]
 		for _, qi := range quantInputs {
 			xq := randBytes(rng, len(x), byte(qi.zp))
-			matchOracle(t, name+"/Q8/"+qi.name, n, func(dst []float32, ref bool) {
-				pick(denseQ8, denseQ8Ref, ref)(dst, xq, qi.zp, qi.unsigned, wq, bias, outScale, tc.batch, tc.inF, tc.units)
-			})
+			matchDenseQ8(t, name+"/Q8/"+qi.name+"/"+act.String(), xq, qi.zp, qi.unsigned, wq, bias, outScale, act, tc.batch, tc.inF, tc.units)
 		}
+	}
+
+	// Sums past int32 range. Dense: every input and weight 127, so each
+	// output sums inF products of 16129; 140000 of them (2.26e9) wrap
+	// once, and 266288 (4294959152) wrap to -8144, which float32 holds
+	// exactly, so an int32 sum off by one changes the output. Both span
+	// several qPass passes, and an odd unit count leaves a half-empty last
+	// lane.
+	for _, inF := range []int{140000, 266288} {
+		const units = 3
+		xq, wq := filled(inF, 127), filled(inF*units, 127)
+		matchDenseQ8(t, fmt.Sprintf("dense/overflow/inF%d", inF), xq, 0, false, wq, nil, 1, graph.OpInvalid, 1, inF, units)
+	}
+	// Conv2d and depthwise: a 1×131587 kernel over uint8 255s with zero
+	// point 0 and weights -128, but for one -127, sums 131586 products of
+	// -32640 and one of -32385, which wrap to -32129, across qPass passes
+	// and qDepthTaps flushes. The -127 is tap qDepthTaps+1: a float32 sum
+	// over that many taps would reach an odd integer past 2^24, which
+	// float32 cannot hold.
+	const taps = 131587
+	in, out := graph.Shape{1, 1, taps, 1}, graph.Shape{1, 1, 1, 1}
+	a := graph.Attrs{KernelH: 1, KernelW: taps, StrideH: 1, StrideW: 1, Filters: 1, DepthMult: 1}
+	xq, wq := filled(taps, 255), filled(taps, 0x80)
+	wq[qDepthTaps] = 0x81
+	for _, k := range convs {
+		matchQ8Oracle(t, k.op.String()+"/overflow", 1, 1, graph.OpInvalid,
+			func(dst []float32) float32 { return k.q8(dst, xq, 0, true, wq, nil, 1, graph.OpInvalid, in, out, a) },
+			func(dst []float32) { k.q8Ref(dst, xq, 0, true, wq, nil, 1, in, out, a) })
+	}
+}
+
+// filled returns n bytes of value b.
+func filled(n int, b byte) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = b
+	}
+	return out
+}
+
+// matchDenseQ8 runs denseQ8 on w packed as Compile packs it against
+// denseQ8Ref.
+func matchDenseQ8(t *testing.T, name string, x []byte, zp int32, unsigned bool, w []byte, bias []float32, outScale float32, act graph.OpType, batch, inF, units int) {
+	t.Helper()
+	matchQ8Oracle(t, name, batch*units, units, act,
+		func(dst []float32) float32 {
+			return denseQ8(dst, x, zp, unsigned, packQ8(w, units), bias, outScale, act, batch, inF, units)
+		},
+		func(dst []float32) { denseQ8Ref(dst, x, zp, unsigned, w, bias, outScale, batch, inF, units) })
+}
+
+// matchQ8Oracle compares a Q8 kernel with its scalar oracle followed by
+// the fused activation over rows of the channel axis: the outputs bit for
+// bit, and the range the kernel returns with maxAbsRef of the oracle's.
+func matchQ8Oracle(t *testing.T, name string, n, channels int, act graph.OpType, kernel func(dst []float32) float32, oracle func(dst []float32)) {
+	t.Helper()
+	var got, want float32
+	matchOracle(t, name, n, func(dst []float32, ref bool) {
+		if !ref {
+			got = kernel(dst)
+			return
+		}
+		oracle(dst)
+		if act.Valid() {
+			applyActivation(dst, act, nil, channels)
+		}
+		want = maxAbsRef(dst)
+	})
+	if math.Float32bits(got) != math.Float32bits(want) {
+		t.Errorf("%s: range %v, oracle %v", name, got, want)
 	}
 }
 

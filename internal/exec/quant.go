@@ -19,6 +19,8 @@ import (
 //     zeroPoint 0 (128 for uint8). No calibration pass exists — the corpus
 //     ships no calibration data — and dynamic ranges keep the path
 //     deterministic: same input, same scales, same bytes.
+//   - Storing rounds half to even and saturates: a value past the dtype's
+//     range stores its nearest end, and NaN stores the zero point.
 
 // decodeFloat32 reinterprets little-endian fp32 weight bytes.
 func decodeFloat32(data []byte) []float32 {
@@ -85,43 +87,59 @@ func quantLimit(dt graph.DType) float64 {
 }
 
 // requantize stores real-valued src into the quantized byte buffer dst
-// with the given scale/zeroPoint, clamping to the dtype's range.
+// with the given scale/zeroPoint (see quantCode).
 func requantize(dst []byte, src []float32, dt graph.DType, scale float64, zp int32) {
 	inv := 0.0
 	if scale != 0 {
 		inv = 1 / scale
 	}
+	lo, hi := quantRange(dt)
+	z := float64(zp)
 	switch dt {
 	case graph.UInt8:
 		for i, v := range src {
-			q := int32(math.RoundToEven(float64(v)*inv)) + zp
-			if q < 0 {
-				q = 0
-			} else if q > 255 {
-				q = 255
-			}
-			dst[i] = byte(q)
+			dst[i] = byte(quantCode(v, inv, z, lo, hi))
 		}
 	case graph.Int16:
 		for i, v := range src {
-			q := int32(math.RoundToEven(float64(v)*inv)) + zp
-			if q < -32768 {
-				q = -32768
-			} else if q > 32767 {
-				q = 32767
-			}
-			binary.LittleEndian.PutUint16(dst[i*2:], uint16(int16(q)))
+			binary.LittleEndian.PutUint16(dst[i*2:], uint16(int16(quantCode(v, inv, z, lo, hi))))
 		}
 	default: // Int8
 		for i, v := range src {
-			q := int32(math.RoundToEven(float64(v)*inv)) + zp
-			if q < -128 {
-				q = -128
-			} else if q > 127 {
-				q = 127
-			}
-			dst[i] = byte(int8(q))
+			dst[i] = byte(int8(quantCode(v, inv, z, lo, hi)))
 		}
+	}
+}
+
+// quantCode rounds v·inv half to even, adds the zero point and clamps the
+// result to [lo, hi], all in float64, before converting it to an integer:
+// values past the range saturate to its ends, and NaN stores the zero
+// point. Go leaves a float-to-integer conversion out of the target's range
+// implementation-defined (amd64 yields MinInt32), so converting before
+// clamping would store a large positive value as the most negative code.
+func quantCode(v float32, inv, zp, lo, hi float64) int32 {
+	r := math.RoundToEven(float64(v) * inv)
+	if r != r {
+		r = 0
+	}
+	q := r + zp
+	if q < lo {
+		q = lo
+	} else if q > hi {
+		q = hi
+	}
+	return int32(q)
+}
+
+// quantRange returns the codes a quantized dtype can store.
+func quantRange(dt graph.DType) (lo, hi float64) {
+	switch dt {
+	case graph.UInt8:
+		return 0, 255
+	case graph.Int16:
+		return -32768, 32767
+	default: // int8
+		return -128, 127
 	}
 }
 
@@ -148,18 +166,17 @@ func dequantize(dst []float32, src []byte, dt graph.DType, scale float64, zp int
 	}
 }
 
-// maxAbs returns the dynamic range of a real-valued tensor.
-func maxAbs(x []float32) float64 {
-	var m float32
+// absMax folds the dynamic range of x into m: it returns the largest of m
+// and every |v|. |v| is v with its sign bit cleared, so no branch depends
+// on a value's sign; NaN never compares greater and is ignored, and -0
+// counts as 0.
+func absMax(m float32, x []float32) float32 {
 	for _, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
+		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > m {
+			m = a
 		}
 	}
-	return float64(m)
+	return m
 }
 
 // splitmix64 is the deterministic input generator: one multiply-shift
