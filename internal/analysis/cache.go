@@ -83,6 +83,14 @@ type UniqueCache struct {
 	// analysis record for this checksum loadable under the current
 	// codec?); successful persists and loads flip negatives to true.
 	verifiedSums map[graph.Checksum]bool
+	// verified holds the records HasAnalysis decoded for checksums whose
+	// analysis has not run yet, so that the warm load which follows reads
+	// and decodes each record once; the checksum's analysis drops it,
+	// whichever path that analysis takes.
+	verified map[graph.Checksum]analysisWire
+	// verifyMu serialises HasAnalysis's first read of each checksum, so
+	// that reports checked concurrently still read each record once.
+	verifyMu sync.Mutex
 	// persistErr records the first write-through failure; surfaced via
 	// PersistErr so a study run fails loudly instead of silently producing
 	// a partial cache.
@@ -373,8 +381,10 @@ func (uc *UniqueCache) get(ctx context.Context, m extract.Model) (*uniqueData, e
 			e.state = entryDone
 			e.data, e.err = d, err
 			// The seed has served its purpose once the analysis ran;
-			// release it so it stops pinning the source APK buffer.
+			// release it so it stops pinning the source APK buffer, and
+			// drop any record HasAnalysis kept for it.
 			e.seed = nil
+			delete(uc.verified, m.Checksum)
 			close(fl)
 			uc.mu.Unlock()
 			return d, err

@@ -84,20 +84,39 @@ func (uc *UniqueCache) persistPayloadRecord(h extract.PayloadHash, rec payloadRe
 // report-level warm path uses it to refuse persisted reports whose models
 // can no longer be resolved (crashed writer, codec bump): such reports
 // re-extract and self-heal instead of failing the study. Verdicts are
-// memoised per checksum; a successful persist or load flips the memo.
+// memoised per checksum; a successful persist or load flips the memo. A
+// record found loadable is kept for loadAnalysisRecord until the
+// checksum's analysis runs, so a warm run reads each record once.
 func (uc *UniqueCache) HasAnalysis(sum graph.Checksum) bool {
 	if uc.st == nil || !uc.resume || !validChecksum(sum) {
 		return false
 	}
-	uc.mu.Lock()
-	v, seen := uc.verifiedSums[sum]
-	uc.mu.Unlock()
-	if seen {
+	if v, seen := uc.verdict(sum); seen {
 		return v
 	}
-	_, ok := uc.decodeAnalysisWire(sum)
+	uc.verifyMu.Lock()
+	defer uc.verifyMu.Unlock()
+	if v, seen := uc.verdict(sum); seen {
+		return v // verified while this call waited
+	}
+	w, ok := uc.decodeAnalysisWire(sum)
+	uc.mu.Lock()
+	if e := uc.entries[sum]; ok && (e == nil || e.state != entryDone) {
+		if uc.verified == nil {
+			uc.verified = map[graph.Checksum]analysisWire{}
+		}
+		uc.verified[sum] = w
+	}
+	uc.mu.Unlock()
 	uc.noteVerified(sum, ok)
 	return ok
+}
+
+func (uc *UniqueCache) verdict(sum graph.Checksum) (v, seen bool) {
+	uc.mu.Lock()
+	v, seen = uc.verifiedSums[sum]
+	uc.mu.Unlock()
+	return v, seen
 }
 
 func (uc *UniqueCache) noteVerified(sum graph.Checksum, ok bool) {
@@ -126,15 +145,21 @@ func (uc *UniqueCache) decodeAnalysisWire(sum graph.Checksum) (analysisWire, boo
 	return w, true
 }
 
-// loadAnalysisRecord rebuilds uniqueData from a persisted record. The
-// graph is only materialised when the cache keeps graphs.
+// loadAnalysisRecord rebuilds uniqueData from a persisted record: the one
+// HasAnalysis kept, else a fresh read. The graph is only materialised when
+// the cache keeps graphs.
 func (uc *UniqueCache) loadAnalysisRecord(sum graph.Checksum) (*uniqueData, bool) {
 	if !validChecksum(sum) {
 		return nil, false
 	}
-	w, ok := uc.decodeAnalysisWire(sum)
+	uc.mu.Lock()
+	w, ok := uc.verified[sum]
+	delete(uc.verified, sum)
+	uc.mu.Unlock()
 	if !ok {
-		return nil, false
+		if w, ok = uc.decodeAnalysisWire(sum); !ok {
+			return nil, false
+		}
 	}
 	d := &uniqueData{
 		name:      w.Name,

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/analysis"
@@ -205,5 +206,53 @@ func TestRunStudyHealsPoisonedStore(t *testing.T) {
 	}
 	if warm.Persist.Cache.Decodes != 0 || warm.Persist.ExtractedReports != 0 {
 		t.Fatalf("store not healed: %+v", warm.Persist)
+	}
+}
+
+// analysisReads is a store filesystem that counts the reads of each
+// analysis record.
+type analysisReads struct {
+	store.OSFS
+	mu    sync.Mutex
+	reads map[string]int
+}
+
+func (a *analysisReads) ReadFile(name string) ([]byte, error) {
+	if filepath.Base(filepath.Dir(filepath.Dir(name))) == store.KindAnalysis {
+		a.mu.Lock()
+		a.reads[name]++
+		a.mu.Unlock()
+	}
+	return a.OSFS.ReadFile(name)
+}
+
+// TestRunStudyWarmReadsEachAnalysisOnce counts the analysis records a warm
+// re-run reads: each distinct checksum's record once, where the report
+// check and the warm load used to read and decode it twice, and one
+// record for every warm analysis hit. The warm contract holds: no decode,
+// profile or extraction.
+func TestRunStudyWarmReadsEachAnalysisOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := cachedConfig(dir, false)
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	fs := &analysisReads{reads: map[string]int{}}
+	cfg.StoreFS = fs
+	warm, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := warm.Persist
+	if ws.Cache.Decodes != 0 || ws.Cache.Profiles != 0 || ws.ExtractedReports != 0 {
+		t.Fatalf("warm run recomputed: %+v", ws)
+	}
+	if len(fs.reads) == 0 || int64(len(fs.reads)) != ws.Cache.WarmAnalysisHits {
+		t.Fatalf("warm run read %d analysis records for %d warm analysis hits", len(fs.reads), ws.Cache.WarmAnalysisHits)
+	}
+	for name, n := range fs.reads {
+		if n != 1 {
+			t.Errorf("%s read %d times, want once", filepath.Base(name), n)
+		}
 	}
 }

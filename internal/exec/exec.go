@@ -18,6 +18,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/gaugenn/gaugenn/internal/errs"
@@ -115,6 +116,28 @@ type Graphless struct {
 
 const numClasses = int(graph.ClassSlice) + 1
 
+// maxPlanBytes is the most memory Compile lets one graph make the
+// interpreter allocate at once: each tensor, each synthesized kernel, the
+// float arena, the byte arena and the float scratch must each fit in
+// 1 GiB, several hundred times what the largest zoo model plans (the
+// segmentation models' 1490944-value float arena, 6 MB). Shapes come from
+// graphs decoded from APKs in the wild and may declare any size; Compile
+// checks every size against this ceiling before it allocates, and refuses
+// a graph past it with an error instead of letting make exhaust memory or
+// an element count wrap.
+const maxPlanBytes = 1 << 30
+
+// planValues multiplies out a count of values in float64, which cannot
+// wrap, and reports whether that many values of width bytes fit in
+// maxPlanBytes. An int product of the same factors is then exact.
+func planValues(width int, factors ...int) bool {
+	n := float64(width)
+	for _, f := range factors {
+		n *= float64(f)
+	}
+	return math.Abs(n) <= maxPlanBytes
+}
+
 // Validate reports whether the interpreter can execute every layer of g,
 // returning a *errs.UnsupportedOpsError (matching errs.ErrUnsupportedOps)
 // listing the offending operators otherwise. It is the cheap up-front gate
@@ -200,6 +223,13 @@ func Compile(g *graph.Graph) (*Program, error) {
 	addTensor := func(t graph.Tensor) (int, error) {
 		if !supportedActivation(t.DType) {
 			return 0, &errs.UnsupportedOpsError{Model: g.Name, Ops: []string{fmt.Sprintf("tensor[%s]", t.DType)}}
+		}
+		var dims []int
+		for _, d := range t.Shape {
+			dims = append(dims, max(d, 1)) // as graph.Shape.Elements counts them
+		}
+		if !planValues(t.DType.Size(), dims...) {
+			return 0, fmt.Errorf("exec: tensor %q of shape %v is larger than %d bytes", t.Name, t.Shape, maxPlanBytes)
 		}
 		ti := tensorInfo{
 			name:    t.Name,
@@ -292,6 +322,14 @@ func Compile(g *graph.Graph) (*Program, error) {
 
 	p.planArena()
 	p.planScratch()
+	for _, b := range []struct {
+		name  string
+		bytes int
+	}{{"float arena", p.floatArena * 4}, {"byte arena", p.byteArena}, {"scratch", p.scratch * 4}} {
+		if b.bytes > maxPlanBytes {
+			return nil, fmt.Errorf("exec: %s needs a %d-byte %s, more than %d bytes", g.Name, b.bytes, b.name, maxPlanBytes)
+		}
+	}
 
 	for _, lp := range prof.Layers {
 		c := int(lp.Class)
@@ -368,7 +406,10 @@ func resolveWeights(st *step, l *graph.Layer, weightScale float64, inShape graph
 		}
 	}
 	if st.wFloat == nil && st.wRaw == nil {
-		st.wFloat = syntheticKernel(l, inShape)
+		var err error
+		if st.wFloat, err = syntheticKernel(l, inShape); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -430,38 +471,35 @@ func checkKernelShapes(st *step, in, out *tensorInfo) error {
 // syntheticKernel builds a deterministic stand-in kernel for MAC layers
 // whose weights were detached before storage. Values are a fixed function
 // of the layer name and index, in [-0.1, 0.1), so latency and digests stay
-// stable run to run and machine to machine.
-func syntheticKernel(l *graph.Layer, inShape graph.Shape) []float32 {
-	var n int
+// stable run to run and machine to machine. A kernel larger than
+// maxPlanBytes is an error.
+func syntheticKernel(l *graph.Layer, inShape graph.Shape) ([]float32, error) {
+	var dims []int
 	a := l.Attrs
 	switch l.Op {
-	case graph.OpConv2D:
+	case graph.OpConv2D, graph.OpTransposeConv2D:
 		if len(inShape) == 4 {
-			n = a.KernelH * a.KernelW * inShape[3] * a.Filters
-		}
-	case graph.OpTransposeConv2D:
-		if len(inShape) == 4 {
-			n = a.KernelH * a.KernelW * a.Filters * inShape[3]
+			dims = []int{a.KernelH, a.KernelW, inShape[3], a.Filters}
 		}
 	case graph.OpDepthwiseConv2D:
 		if len(inShape) == 4 {
-			mult := a.DepthMult
-			if mult <= 0 {
-				mult = 1
-			}
-			n = a.KernelH * a.KernelW * inShape[3] * mult
+			dims = []int{a.KernelH, a.KernelW, inShape[3], max(a.DepthMult, 1)}
 		}
 	case graph.OpDense:
 		if len(inShape) >= 1 {
-			batch := inShape[0]
-			if batch <= 0 {
-				batch = 1
-			}
-			n = int(inShape.Elements()) / batch * a.Units
+			batch := max(inShape[0], 1)
+			dims = []int{int(inShape.Elements()) / batch, a.Units}
 		}
 	}
-	if n <= 0 {
-		return nil
+	if !planValues(4, dims...) {
+		return nil, fmt.Errorf("synthesized %v kernel is larger than %d bytes", dims, maxPlanBytes)
+	}
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	if dims == nil || n <= 0 {
+		return nil, nil
 	}
 	seed := uint64(0xcbf29ce484222325)
 	for _, c := range []byte(l.Name) {
@@ -471,7 +509,7 @@ func syntheticKernel(l *graph.Layer, inShape graph.Shape) []float32 {
 	for i := range out {
 		out[i] = (float32(splitmix64(&seed)>>40)/float32(1<<24) - 0.5) * 0.2
 	}
-	return out
+	return out, nil
 }
 
 // planArena assigns every tensor an offset in its arena using first-fit

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -365,6 +366,54 @@ func TestCompileRejectsUnrunnableLayers(t *testing.T) {
 			}
 			if _, err := Compile(g); err == nil || !strings.Contains(err.Error(), `layer "l"`) {
 				t.Fatalf("Compile = %v, want an error naming layer \"l\"", err)
+			}
+		})
+	}
+}
+
+// TestCompileRefusesOversizedPlans holds Compile to maxPlanBytes on graphs
+// that declare more memory than any model needs: a weightless dense layer
+// of 2^40 units (a 2^40-value output and synthesized kernel), a dense layer
+// over a [2^32, 2^32] input (2^64 elements, which graph.Shape.Elements
+// wraps to 0), a weightless 2^15×2^15 conv kernel over a small input, and
+// three 256 MB inputs concatenated, each tensor under the ceiling but all
+// four live together in a 1.5 GB float arena. Each must fail with an error before
+// anything that large is allocated; every zoo model compiles (the golden
+// digest test compiles them all).
+func TestCompileRefusesOversizedPlans(t *testing.T) {
+	oneLayer := func(in graph.Shape, l graph.Layer) *graph.Graph {
+		l.Name, l.Inputs, l.Outputs = "l", []string{"x"}, []string{"y"}
+		return &graph.Graph{
+			Name:    "oversized",
+			Inputs:  []graph.Tensor{{Name: "x", Shape: in, DType: graph.Float32}},
+			Outputs: []graph.Tensor{{Name: "y", DType: graph.Float32}},
+			Layers:  []graph.Layer{l},
+		}
+	}
+	concat := &graph.Graph{Name: "oversized", Outputs: []graph.Tensor{{Name: "y", DType: graph.Float32}}}
+	cat := graph.Layer{Name: "l", Op: graph.OpConcat, Outputs: []string{"y"}, Attrs: graph.Attrs{Axis: 1}}
+	for i := range 3 {
+		name := fmt.Sprintf("x%d", i)
+		concat.Inputs = append(concat.Inputs, graph.Tensor{Name: name, Shape: graph.Shape{1, 1 << 26}, DType: graph.Float32})
+		cat.Inputs = append(cat.Inputs, name)
+	}
+	concat.Layers = []graph.Layer{cat}
+	for _, tc := range []struct {
+		name, wantErr string
+		g             *graph.Graph
+	}{
+		{"dense-2^40-units", `tensor "y"`, oneLayer(graph.Shape{1, 8}, graph.Layer{Op: graph.OpDense, Attrs: graph.Attrs{Units: 1 << 40}})},
+		{"dense-over-2^32x2^32", `tensor "x"`, oneLayer(graph.Shape{1 << 32, 1 << 32}, graph.Layer{Op: graph.OpDense, Attrs: graph.Attrs{Units: 4}})},
+		{"conv-2^15x2^15-kernel", `layer "l": synthesized`, oneLayer(graph.Shape{1, 4, 4, 3}, graph.Layer{Op: graph.OpConv2D,
+			Attrs: graph.Attrs{KernelH: 1 << 15, KernelW: 1 << 15, StrideH: 1, StrideW: 1, PadSame: true, Filters: 8}})},
+		{"concat-1.5GB-arena", "float arena", concat},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.g.Validate(); err != nil {
+				t.Fatalf("graph.Validate = %v; the case needs a graph it accepts", err)
+			}
+			if _, err := Compile(tc.g); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Compile = %v, want an error containing %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -187,18 +187,10 @@ func (in *Instance) floatViewAt(tid int, off *int) []float32 {
 }
 
 // storeQuant dynamic-range requantizes a real-valued result whose largest
-// |v| is amax into a quantized tensor's byte buffer: scale = amax/limit,
-// zero-point 0 (128 for uint8).
+// |v| is amax into a quantized tensor's byte buffer (see dynamicQuant).
 func (in *Instance) storeQuant(tid int, src []float32, amax float32) {
 	t := &in.prog.tensors[tid]
-	scale := float64(amax) / quantLimit(t.dtype)
-	if scale == 0 {
-		scale = 1
-	}
-	var zp int32
-	if t.dtype == graph.UInt8 {
-		zp = 128
-	}
+	scale, zp := dynamicQuant(t.dtype, amax)
 	requantize(in.byteArena[t.off:t.off+t.size], src, t.dtype, scale, zp)
 	in.scales[tid], in.zps[tid] = scale, zp
 }
@@ -312,11 +304,16 @@ func denseDims(t0, out *tensorInfo) (batch, inF, units int) {
 	return batch, t0.elems / batch, out.shape[len(out.shape)-1]
 }
 
-// runGeneric handles every remaining op through the fp32 kernels: inputs
-// are viewed (or dequantized into scratch), the kernel writes into the
-// output's float buffer (or a scratch staging area for quantized outputs),
-// and quantized outputs are dynamic-range requantized at the end.
+// runGeneric handles every remaining op. An int8/uint8 element-wise step
+// runs on its inputs' codes (runOnCodes); every other step runs through
+// the fp32 kernels: inputs are viewed (or dequantized into scratch), the
+// kernel writes into the output's float buffer (or a scratch staging area
+// for quantized outputs), and quantized outputs are dynamic-range
+// requantized at the end.
 func (in *Instance) runGeneric(st *step, out *tensorInfo) {
+	if in.runOnCodes(st, out) {
+		return
+	}
 	p := in.prog
 	off := 0
 	var dst []float32
@@ -388,6 +385,130 @@ func (in *Instance) runGeneric(st *step, out *tensorInfo) {
 	if !out.isFloat {
 		in.storeQuant(st.out, dst, absMax(0, dst))
 	}
+}
+
+// byteCodes holds every byte once, in order: dequantized, it gives the
+// 256 real values an int8 or uint8 tensor can hold.
+var byteCodes = func() (c [256]byte) {
+	for i := range c {
+		c[i] = byte(i)
+	}
+	return c
+}()
+
+// oneByte reports whether a tensor stores one byte per element (int8 or
+// uint8), so that its elements take at most 256 values.
+func oneByte(t *tensorInfo) bool { return t.dtype == graph.Int8 || t.dtype == graph.UInt8 }
+
+// perElement reports whether an activation maps each value on its own:
+// everything but softmax, and PRelu with one slope (alpha of at most one
+// value) rather than one per channel.
+func perElement(op graph.OpType, alpha []float32) bool {
+	switch op {
+	case graph.OpReLU, graph.OpReLU6, graph.OpSigmoid, graph.OpLogistic, graph.OpTanh, graph.OpHardSwish:
+		return true
+	case graph.OpPRelu:
+		return len(alpha) <= 1
+	}
+	return false
+}
+
+// runOnCodes runs an element-wise step whose output and inputs are int8 or
+// uint8 with one element count on the inputs' codes instead of their
+// dequantized values, and reports whether it did; runGeneric runs every
+// other step. Each element still goes through the float operations the
+// fp32 path gives it, so every output byte, scale and zero point is that
+// path's:
+//
+//   - A unary per-element op (reshape, or a per-element activation, with
+//     at most a per-element fused activation) maps each element by its
+//     code alone. It runs once per code, on the 256 values dequantize
+//     gives; the range is the largest |v| over the codes the input holds,
+//     which is the fp32 path's maximum, since a maximum depends neither on
+//     order nor on repeats; and the 256 results are requantized by the
+//     same rule, then looked up per element.
+//   - An add of two such tensors sums each pair of elements from the two
+//     inputs' 256-value tables, the sum addF32 makes over the dequantized
+//     views, then applies the fused activation and stores as before,
+//     without either dequantize pass.
+//
+// Softmax, per-channel PRelu, pooling, concat, broadcasting add and mul,
+// and int16 or float inputs take the fp32 path.
+func (in *Instance) runOnCodes(st *step, out *tensorInfo) bool {
+	if !oneByte(out) {
+		return false
+	}
+	for _, tid := range st.in {
+		if t := &in.prog.tensors[tid]; !oneByte(t) || t.elems != out.elems {
+			return false
+		}
+	}
+	switch {
+	case st.op == graph.OpAdd && len(st.in) == 2:
+		in.addOnCodes(st, out)
+	case len(st.in) == 1 && (st.op == graph.OpReshape || perElement(st.op, st.wFloat)) &&
+		(!st.fused.Valid() || perElement(st.fused, nil)):
+		in.unaryOnCodes(st, out)
+	default:
+		return false
+	}
+	return true
+}
+
+// codeValues dequantizes all 256 codes of a one-byte tensor into vals.
+func (in *Instance) codeValues(vals *[256]float32, tid int) {
+	dequantize(vals[:], byteCodes[:], in.prog.tensors[tid].dtype, in.scales[tid], in.zps[tid])
+}
+
+// unaryOnCodes runs a unary per-element step once per input code (see
+// runOnCodes).
+func (in *Instance) unaryOnCodes(st *step, out *tensorInfo) {
+	tid := st.in[0]
+	var vals [256]float32
+	in.codeValues(&vals, tid)
+	if st.op != graph.OpReshape {
+		applyActivation(vals[:], st.op, st.wFloat, lastDimOf(out.shape))
+	}
+	if st.fused.Valid() {
+		applyActivation(vals[:], st.fused, nil, lastDimOf(out.shape))
+	}
+	src := in.raw(tid)
+	var held [256]bool
+	for _, c := range src {
+		held[c] = true
+	}
+	var amax float32
+	for c, h := range held {
+		if h {
+			amax = absMax(amax, vals[c:c+1])
+		}
+	}
+	scale, zp := dynamicQuant(out.dtype, amax)
+	var codes [256]byte
+	requantize(codes[:], vals[:], out.dtype, scale, zp)
+	dst := in.raw(st.out)[:len(src)]
+	for i, c := range src {
+		dst[i] = codes[c]
+	}
+	in.scales[st.out], in.zps[st.out] = scale, zp
+}
+
+// addOnCodes adds two equal-length one-byte tensors through their code
+// tables (see runOnCodes).
+func (in *Instance) addOnCodes(st *step, out *tensorInfo) {
+	var va, vb [256]float32
+	in.codeValues(&va, st.in[0])
+	in.codeValues(&vb, st.in[1])
+	x, y := in.raw(st.in[0]), in.raw(st.in[1])
+	dst := in.scratch[:len(x)]
+	y = y[:len(x)]
+	for i, c := range x {
+		dst[i] = va[c] + vb[y[i]]
+	}
+	if st.fused.Valid() {
+		applyActivation(dst, st.fused, nil, lastDimOf(out.shape))
+	}
+	in.storeQuant(st.out, dst, absMax(0, dst))
 }
 
 func lastDimOf(s graph.Shape) int {

@@ -53,6 +53,9 @@ func dilationOf(a graph.Attrs) int {
 // each valid input tap is broadcast against that tap's contiguous weight
 // row into the pixel's accumulators, so weights stream at unit stride and
 // every input value is loaded once per row rather than once per output.
+// Undilated conv2d walks each kernel row's valid taps as one input run
+// (rowSpan): a 5×5 kernel over 3 channels makes 5 runs of 15 values per
+// interior pixel instead of 25 runs of 3.
 // Each fp32 output still sums exactly the products the one-output-at-a-time
 // loop sums, in its order — starting from +0, over (kh, kw, ic) for conv,
 // (kh, kw) for depthwise and f for dense, then the W8 weight scale, then
@@ -89,6 +92,19 @@ func tapRange(origin, dil, k, size int) (k0, k1 int) {
 		k1--
 	}
 	return k0, k1
+}
+
+// rowSpan returns how many of a kernel row's in-bounds taps [kw0, kw1)
+// one contiguous input run covers. With dilation 1 the taps read adjacent
+// pixels, whose NHWC channels follow one another, against consecutive
+// weight rows, so the whole row is one run of (kw1-kw0)·inC values whose
+// products still come in (kw, ic) order; a dilated row skips pixels
+// between its taps, so each tap is a run of its own.
+func rowSpan(kw0, kw1, dil int) int {
+	if dil == 1 {
+		return kw1 - kw0
+	}
+	return 1
 }
 
 // quantFlip returns the mask and offset that read a quantized activation
@@ -222,13 +238,14 @@ func conv2dF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) 
 			for ow := 0; ow < outW; ow++ {
 				iw0 := ow*a.StrideW - padL
 				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				span := rowSpan(kw0, kw1, dil)
 				y := dstN[(oh*outW+ow)*outC:][:outC]
 				oc := 0
 				for ; oc+convTile <= outC; oc += convTile {
 					var s0, s1, s2, s3, s4, s5, s6, s7 float32
 					for kh := kh0; kh < kh1; kh++ {
-						for kw := kw0; kw < kw1; kw++ {
-							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+						for kw := kw0; kw < kw1; kw += span {
+							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:span*inC]
 							wi := (kh*a.KernelW+kw)*tapW + oc
 							for _, v := range x {
 								r := w[wi : wi+convTile : wi+convTile]
@@ -264,8 +281,8 @@ func conv2dF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) 
 				t := y[oc:]
 				clear(t)
 				for kh := kh0; kh < kh1; kh++ {
-					for kw := kw0; kw < kw1; kw++ {
-						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+					for kw := kw0; kw < kw1; kw += span {
+						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:span*inC]
 						wi := (kh*a.KernelW+kw)*tapW + oc
 						for _, v := range x {
 							r := w[wi:][:len(t)]
@@ -303,11 +320,12 @@ func conv2dW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 			for ow := 0; ow < outW; ow++ {
 				iw0 := ow*a.StrideW - padL
 				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				span := rowSpan(kw0, kw1, dil)
 				y := dstN[(oh*outW+ow)*outC:][:outC]
 				clear(y)
 				for kh := kh0; kh < kh1; kh++ {
-					for kw := kw0; kw < kw1; kw++ {
-						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+					for kw := kw0; kw < kw1; kw += span {
+						x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:span*inC]
 						wi := (kh*a.KernelW + kw) * tapW
 						for _, v := range x {
 							r := w[wi:][:len(y)]
@@ -350,6 +368,7 @@ func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []int6
 			for ow := 0; ow < outW; ow++ {
 				iw0 := ow*a.StrideW - padL
 				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
+				span := rowSpan(kw0, kw1, dil)
 				y := dstN[(oh*outW+ow)*outC:][:outC]
 				for oc := 0; oc < outC; oc += qBlock {
 					sums := acc[:min(qBlock, outC-oc)]
@@ -357,8 +376,8 @@ func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []int6
 					clear(sums)
 					left := qPass
 					for kh := kh0; kh < kh1; kh++ {
-						for kw := kw0; kw < kw1; kw++ {
-							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:inC]
+						for kw := kw0; kw < kw1; kw += span {
+							x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:span*inC]
 							wi := (kh*a.KernelW+kw)*inC*rowL + oc/2
 							for len(x) > left {
 								wi = q8Lanes(L, x[:left], flip, off, w, wi, rowL)
@@ -750,11 +769,7 @@ func globalAvgPoolF32(dst, src []float32, in graph.Shape) {
 func applyActivation(x []float32, op graph.OpType, alpha []float32, channels int) {
 	switch op {
 	case graph.OpReLU:
-		for i, v := range x {
-			if v < 0 {
-				x[i] = 0
-			}
-		}
+		reluF32(x)
 	case graph.OpReLU6:
 		for i, v := range x {
 			if v < 0 {
@@ -798,6 +813,22 @@ func applyActivation(x []float32, op graph.OpType, alpha []float32, channels int
 		}
 	case graph.OpSoftmax:
 		softmaxF32(x, channels)
+	}
+}
+
+// reluF32 clears exactly the values the branch v < 0 clears — those whose
+// bits lie in (0x80000000, 0xff800000], every negative number from the
+// smallest subnormal to -Inf — without a branch on the sign, which signed
+// activations mispredict about half the time. Subtracting 0x80000001 wraps
+// those bits onto [0, 0x7f800000) and every other value, -0 and NaN of
+// either sign included, above it, so the sign of the 64-bit difference
+// with 0x7f800000 is the clear mask. A cleared value stores +0, as the
+// branch does; -0 and NaN keep their bits.
+func reluF32(x []float32) {
+	for i, v := range x {
+		b := math.Float32bits(v)
+		clr := uint32((int64(b-0x80000001) - 0x7f800000) >> 63)
+		x[i] = math.Float32frombits(b &^ clr)
 	}
 }
 

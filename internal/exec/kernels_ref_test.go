@@ -351,3 +351,60 @@ func maxAbsRef(x []float32) float32 {
 	}
 	return m
 }
+
+// reluRef is ReLU by the sign branch: negative values become +0, while -0
+// and NaN, which do not compare below 0, keep their bits. reluF32 must
+// agree with it bit for bit.
+func reluRef(x []float32) {
+	for i, v := range x {
+		if v < 0 {
+			x[i] = 0
+		}
+	}
+}
+
+// refTensor is one quantized input of elementwiseRef.
+type refTensor struct {
+	codes []byte
+	dtype graph.DType
+	scale float64
+	zp    int32
+}
+
+// elementwiseRef is the int8/uint8 element-wise path before runOnCodes:
+// every input dequantized in full, the fp32 op (add, reshape or an
+// activation) and the fused activation over every element, and the result
+// requantized at its dynamic range (scale = maxAbsRef/limit, 1 when that
+// is 0; zero point 0, 128 for uint8). It returns the output's bytes, scale
+// and zero point, which runOnCodes must reproduce exactly.
+func elementwiseRef(op, fused graph.OpType, alpha []float32, channels int, ins []refTensor, outDT graph.DType) ([]byte, float64, int32) {
+	views := make([][]float32, len(ins))
+	for i, t := range ins {
+		views[i] = make([]float32, len(t.codes))
+		dequantize(views[i], t.codes, t.dtype, t.scale, t.zp)
+	}
+	dst := make([]float32, len(views[0]))
+	switch op {
+	case graph.OpAdd:
+		addF32(dst, views[0], views[1])
+	case graph.OpReshape:
+		copy(dst, views[0])
+	default:
+		copy(dst, views[0])
+		applyActivation(dst, op, alpha, channels)
+	}
+	if fused.Valid() {
+		applyActivation(dst, fused, nil, channels)
+	}
+	scale := float64(maxAbsRef(dst)) / quantLimit(outDT)
+	if scale == 0 {
+		scale = 1
+	}
+	var zp int32
+	if outDT == graph.UInt8 {
+		zp = 128
+	}
+	out := make([]byte, len(dst))
+	requantize(out, dst, outDT, scale, zp)
+	return out, scale, zp
+}

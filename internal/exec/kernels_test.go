@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -391,6 +392,9 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 		// in the interior and never at the SAME-padded border.
 		{"23x23/valid/inC3/outC5", 1, 25, 24, 3, 23, 23, 5, 1, 1, 1, "valid", true},
 		{"23x23/same/inC2/outC2", 1, 24, 24, 2, 23, 23, 2, 1, 1, 1, "same", false},
+		// conv0 of face detection on an odd-sized input: each kernel row's
+		// in-bounds taps read one run of up to 15 input values.
+		{"5x5/same/stride2/inC3/outC24", 1, 17, 15, 3, 5, 5, 24, 1, 2, 1, "same", true},
 	} {
 		a := graph.Attrs{
 			KernelH: tc.kh, KernelW: tc.kw, StrideH: tc.stride, StrideW: tc.stride,
@@ -598,4 +602,173 @@ func randBytes(rng *rand.Rand, n int, zero byte) []byte {
 		}
 	}
 	return out
+}
+
+// TestReLUMaskMatchesBranch compares reluF32, through applyActivation, with
+// the sign branch bit for bit on every class of float32: ±0, ±Inf, NaNs of
+// both signs and payloads, subnormals, the smallest, a middle and the
+// largest mantissa of every exponent with either sign, and random bits.
+// max(v, 0) turns -0 into +0, and clearing every value whose sign bit is
+// set clears -0 and the negative NaNs: each fails it.
+func TestReLUMaskMatchesBranch(t *testing.T) {
+	bits := []uint32{0, 0x80000000, 0x7f800000, 0xff800000, 0x7fc00000, 0xffc00000,
+		0x7f800001, 0xff800001, 0x7fffffff, 0xffffffff, 1, 0x80000001, 0x007fffff, 0x807fffff}
+	for e := uint32(0); e < 256; e++ {
+		for _, m := range []uint32{0, 1, 0x400000, 0x7fffff} {
+			bits = append(bits, e<<23|m, 1<<31|e<<23|m)
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	for range 1 << 16 {
+		bits = append(bits, rng.Uint32())
+	}
+	got, want := make([]float32, len(bits)), make([]float32, len(bits))
+	for i, b := range bits {
+		got[i], want[i] = math.Float32frombits(b), math.Float32frombits(b)
+	}
+	applyActivation(got, graph.OpReLU, nil, 1)
+	reluRef(want)
+	for i := range want {
+		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+			t.Errorf("relu(%#08x) = %#08x, sign branch %#08x", bits[i], g, w)
+		}
+	}
+}
+
+// TestElementwiseOnCodesMatchesFloatPath runs int8/uint8 element-wise steps
+// through runOnCodes and compares each with elementwiseRef, the fp32 path
+// it replaces: output bytes, scale and zero point must be equal. It covers
+// every unary op the code path takes, int8 and uint8 in and out, with and
+// without a fused activation; inputs holding every code, three codes, only
+// the zero point (a range of 0, stored at scale 1) or carrying scale 0; and
+// adds over two inputs of different scales and dtypes. Softmax and
+// per-channel PRelu must be left to the fp32 path.
+func TestElementwiseOnCodesMatchesFloatPath(t *testing.T) {
+	shape := graph.Shape{1, 4, 8, 12} // 384 elements, 12 channels
+	n := int(shape.Elements())
+	rng := rand.New(rand.NewSource(22))
+	everyCode := randBytes(rng, n, 0)
+	for i, c := range rng.Perm(256) {
+		everyCode[i] = byte(c)
+	}
+	threeCodes := make([]byte, n)
+	for i := range threeCodes {
+		threeCodes[i] = []byte{0x05, 0x80, 0xf3}[rng.Intn(3)]
+	}
+	type input struct {
+		name  string
+		codes func(zp int32) []byte
+		scale float64
+	}
+	inputs := []input{
+		{"every-code", func(int32) []byte { return everyCode }, 0.013},
+		{"three-codes", func(int32) []byte { return threeCodes }, 0.4},
+		{"zero-point-only", func(zp int32) []byte { return filled(n, byte(zp)) }, 0.02},
+		{"scale-0", func(int32) []byte { return threeCodes }, 0},
+	}
+	zpOf := map[graph.DType]int32{graph.Int8: -3, graph.UInt8: 131}
+	f32 := func(vals ...float32) graph.Weight {
+		data := make([]byte, 0, 4*len(vals))
+		for _, v := range vals {
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
+		}
+		return graph.Weight{Name: "alpha", Shape: graph.Shape{len(vals)}, DType: graph.Float32, Data: data}
+	}
+	perChannel := make([]float32, shape[3])
+	for i := range perChannel {
+		perChannel[i] = float32(i+1) / 16
+	}
+	dtypes := []graph.DType{graph.Int8, graph.UInt8}
+
+	// check compiles layer over inputs of the given dtypes, sets the
+	// output's dtype, runs the step on codes and compares it with the
+	// reference; onCodes says whether runOnCodes must take the step.
+	check := func(name string, l graph.Layer, inDTs []graph.DType, outDT graph.DType, ins []refTensor, onCodes bool) {
+		t.Helper()
+		g := &graph.Graph{Name: "elementwise", Outputs: []graph.Tensor{{Name: "y"}}}
+		for i, dt := range inDTs {
+			x := fmt.Sprintf("x%d", i)
+			g.Inputs = append(g.Inputs, graph.Tensor{Name: x, Shape: shape, DType: dt})
+			l.Inputs = append(l.Inputs, x)
+		}
+		l.Name, l.Outputs = "l", []string{"y"}
+		g.Layers = []graph.Layer{l}
+		p, err := Compile(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st := &p.steps[0]
+		out := &p.tensors[st.out]
+		out.dtype = outDT // both dtypes store one byte per element
+		inst := p.NewInstance()
+		for i, tid := range st.in {
+			copy(inst.raw(tid), ins[i].codes)
+			inst.scales[tid], inst.zps[tid] = ins[i].scale, ins[i].zp
+		}
+		if took := inst.runOnCodes(st, out); took != onCodes {
+			t.Fatalf("%s: runOnCodes took the step: %v, want %v", name, took, onCodes)
+		}
+		if !onCodes {
+			inst.runStep(st)
+		}
+		want, scale, zp := elementwiseRef(l.Op, l.Attrs.Fused, st.wFloat, shape[3], ins, outDT)
+		if !bytes.Equal(inst.raw(st.out), want) || math.Float64bits(inst.scales[st.out]) != math.Float64bits(scale) || inst.zps[st.out] != zp {
+			t.Errorf("%s: scale %v zero point %d, reference scale %v zero point %d; bytes equal: %v",
+				name, inst.scales[st.out], inst.zps[st.out], scale, zp, bytes.Equal(inst.raw(st.out), want))
+		}
+	}
+
+	unary := []struct {
+		name    string
+		layer   graph.Layer
+		onCodes bool
+	}{
+		{"relu", graph.Layer{Op: graph.OpReLU}, true},
+		{"relu6", graph.Layer{Op: graph.OpReLU6}, true},
+		{"sigmoid", graph.Layer{Op: graph.OpSigmoid}, true},
+		{"logistic", graph.Layer{Op: graph.OpLogistic}, true},
+		{"tanh", graph.Layer{Op: graph.OpTanh}, true},
+		{"hard-swish", graph.Layer{Op: graph.OpHardSwish}, true},
+		{"reshape", graph.Layer{Op: graph.OpReshape, Attrs: graph.Attrs{NewShape: []int{1, -1}}}, true},
+		{"prelu-default", graph.Layer{Op: graph.OpPRelu}, true},
+		{"prelu-scalar", graph.Layer{Op: graph.OpPRelu, Weights: []graph.Weight{f32(0.3)}}, true},
+		{"prelu-per-channel", graph.Layer{Op: graph.OpPRelu, Weights: []graph.Weight{f32(perChannel...)}}, false},
+		{"softmax", graph.Layer{Op: graph.OpSoftmax}, false},
+	}
+	fusedActs := []graph.OpType{graph.OpInvalid, graph.OpReLU, graph.OpHardSwish, graph.OpPRelu}
+	for _, u := range unary {
+		for _, fused := range fusedActs {
+			for _, inDT := range dtypes {
+				for _, outDT := range dtypes {
+					for _, x := range inputs {
+						l := u.layer
+						l.Attrs.Fused = fused
+						ref := refTensor{x.codes(zpOf[inDT]), inDT, x.scale, zpOf[inDT]}
+						name := fmt.Sprintf("%s/fused-%v/%v-to-%v/%s", u.name, fused, inDT, outDT, x.name)
+						check(name, l, []graph.DType{inDT}, outDT, []refTensor{ref}, u.onCodes)
+					}
+				}
+			}
+		}
+	}
+	// A fused softmax is not per element: the step stays on the fp32 path.
+	check("relu/fused-softmax", graph.Layer{Op: graph.OpReLU, Attrs: graph.Attrs{Fused: graph.OpSoftmax}},
+		[]graph.DType{graph.Int8}, graph.Int8, []refTensor{{everyCode, graph.Int8, 0.01, 0}}, false)
+
+	for _, fused := range []graph.OpType{graph.OpInvalid, graph.OpReLU, graph.OpSoftmax} {
+		for _, a := range dtypes {
+			for _, b := range dtypes {
+				for _, outDT := range dtypes {
+					for _, x := range inputs {
+						ins := []refTensor{
+							{x.codes(zpOf[a]), a, x.scale, zpOf[a]},
+							{everyCode, b, 0.0071, zpOf[b]},
+						}
+						name := fmt.Sprintf("add/fused-%v/%v+%v-to-%v/%s", fused, a, b, outDT, x.name)
+						check(name, graph.Layer{Op: graph.OpAdd, Attrs: graph.Attrs{Fused: fused}}, []graph.DType{a, b}, outDT, ins, true)
+					}
+				}
+			}
+		}
+	}
 }

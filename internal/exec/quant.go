@@ -86,6 +86,20 @@ func quantLimit(dt graph.DType) float64 {
 	}
 }
 
+// dynamicQuant is the dynamic-range rule: a real-valued result whose
+// largest |v| is amax stores with scale = amax/limit (1 when amax is 0)
+// and zero point 0, 128 for uint8.
+func dynamicQuant(dt graph.DType, amax float32) (scale float64, zp int32) {
+	scale = float64(amax) / quantLimit(dt)
+	if scale == 0 {
+		scale = 1
+	}
+	if dt == graph.UInt8 {
+		zp = 128
+	}
+	return scale, zp
+}
+
 // requantize stores real-valued src into the quantized byte buffer dst
 // with the given scale/zeroPoint (see quantCode).
 func requantize(dst []byte, src []float32, dt graph.DType, scale float64, zp int32) {
