@@ -42,19 +42,15 @@ type uniqueData struct {
 // The cache also implements extract.DecodeCache — the hash-before-decode
 // front door: extraction content-hashes a candidate file-set and asks
 // Payload whether those exact bytes were decoded before; only first
-// sightings pay for a graph decode. Decoded graphs are parked on the
-// checksum entry (the "seed") until the entry's analysis runs, then
-// released — so borrowed weight bytes never pin an APK buffer beyond the
-// first profile.
+// sightings pay for a graph decode. Decoded graphs are parked as seeds
+// until their checksum's analysis is recorded, then released — so
+// borrowed weight bytes never pin an APK buffer beyond the first profile.
 //
-// Computation is single-flight at both layers: the first ingester of a
-// payload hash decodes, the first ingester of a checksum profiles; every
-// concurrent ingester of the same key waits. Waits are cancellable: a
-// waiter whose ctx expires unblocks with the context error. Cancellation
-// never poisons an entry — an attempt cut short by ctx is abandoned (the
-// entry returns to idle, nothing is persisted), so the next attempt, in
-// this run or a warm resume, computes the real outcome. All methods are
-// safe for concurrent use.
+// Computation is single-flight at both layers, on one flight type: the
+// first ingester of a payload hash decodes, the first ingester of a
+// checksum profiles; every concurrent ingester of the same key waits.
+// Waits are cancellable, and cancellation never poisons a key (see
+// flight). All methods are safe for concurrent use.
 //
 // A cache built with NewPersistentUniqueCache is additionally backed by an
 // on-disk study store: payload outcomes and per-checksum analysis records
@@ -76,65 +72,37 @@ type UniqueCache struct {
 	warmPayloads atomic.Int64
 	warmAnalyses atomic.Int64
 
-	mu       sync.Mutex
-	entries  map[graph.Checksum]*cacheEntry
-	payloads map[extract.PayloadHash]*payloadEntry
-	// verifiedSums memoises HasAnalysis verdicts (is the persisted
-	// analysis record for this checksum loadable under the current
-	// codec?); successful persists and loads flip negatives to true.
-	verifiedSums map[graph.Checksum]bool
-	// verified holds the records HasAnalysis decoded for checksums whose
-	// analysis has not run yet, so that the warm load which follows reads
-	// and decodes each record once; the checksum's analysis drops it,
-	// whichever path that analysis takes.
-	verified map[graph.Checksum]analysisWire
-	// verifyMu serialises HasAnalysis's first read of each checksum, so
-	// that reports checked concurrently still read each record once.
-	verifyMu sync.Mutex
+	// payloads records each payload hash's decode outcome; analyses
+	// records each checksum's analysis, whether computed, loaded by get or
+	// loaded by HasAnalysis's trust check.
+	payloads flight[extract.PayloadHash, payloadOutcome]
+	analyses flight[graph.Checksum, *uniqueData]
+
+	mu sync.Mutex
+	// seeds holds the decoded graphs the payload front door parks for
+	// checksums whose analysis is not recorded yet. A seed keeps its
+	// source buffer (often a whole APK) alive, so recording the analysis
+	// drops it; an abandoned (cancelled) attempt leaves it for the next.
+	seeds map[graph.Checksum]*graph.Graph
 	// persistErr records the first write-through failure; surfaced via
 	// PersistErr so a study run fails loudly instead of silently producing
 	// a partial cache.
 	persistErr error
 }
 
-// single-flight entry states (guarded by the cache mutex). Entries move
-// idle -> running -> done; a cancelled attempt moves running -> idle and
-// closes its flight channel so waiters re-examine the state.
-const (
-	entryIdle = iota
-	entryRunning
-	entryDone
-)
-
-type cacheEntry struct {
-	state  int
-	flight chan struct{} // non-nil while running; closed on completion or abandon
-	data   *uniqueData
-	err    error
-	// seed holds the decoded graph registered by the payload front door
-	// until the single-flight analysis consumes it. It keeps the source
-	// buffer (often a whole APK) alive, so the analysis clears it as soon
-	// as it has run; an abandoned (cancelled) attempt keeps it for the
-	// next one.
-	seed *graph.Graph
-}
-
-type payloadEntry struct {
-	state  int
-	flight chan struct{}
-	sum    graph.Checksum
-	ok     bool
+// payloadOutcome is one payload hash's recorded decode outcome.
+type payloadOutcome struct {
+	sum graph.Checksum
+	ok  bool
 }
 
 // NewUniqueCache creates an empty in-memory cache. keepGraphs controls
 // whether the decoded graph is retained for benchmarking (costs memory at
 // scale).
 func NewUniqueCache(keepGraphs bool) *UniqueCache {
-	return &UniqueCache{
-		keepGraphs: keepGraphs,
-		entries:    map[graph.Checksum]*cacheEntry{},
-		payloads:   map[extract.PayloadHash]*payloadEntry{},
-	}
+	uc := &UniqueCache{keepGraphs: keepGraphs, seeds: map[graph.Checksum]*graph.Graph{}}
+	uc.analyses.onRecord = uc.dropSeed
+	return uc
 }
 
 // NewPersistentUniqueCache creates a cache backed by an on-disk study
@@ -197,87 +165,37 @@ func (uc *UniqueCache) notePersistErr(err error) {
 	uc.mu.Unlock()
 }
 
-// Size returns the number of distinct checksums analysed so far.
-func (uc *UniqueCache) Size() int {
-	uc.mu.Lock()
-	defer uc.mu.Unlock()
-	return len(uc.entries)
-}
+// Size returns the number of distinct checksums analysed (or in flight)
+// so far.
+func (uc *UniqueCache) Size() int { return uc.analyses.len() }
 
 // PayloadCount returns the number of distinct payload hashes seen so far
-// (valid and failed decodes both count).
-func (uc *UniqueCache) PayloadCount() int {
-	uc.mu.Lock()
-	defer uc.mu.Unlock()
-	return len(uc.payloads)
-}
+// (valid and failed decodes both count; so does one in flight).
+func (uc *UniqueCache) PayloadCount() int { return uc.payloads.len() }
 
 // Payload implements extract.DecodeCache: the first caller for a given
 // payload hash runs decode and the outcome (checksum on success, failure
 // otherwise) is recorded; every other caller — concurrent or later, any
 // shard, either snapshot — gets the recorded outcome without decoding.
-// Successful decodes seed the checksum entry so the graph is available to
-// the per-checksum analysis even though cache-hit extractions never carry
-// graphs.
+// Successful decodes seed the checksum's analysis so the graph is
+// available to it even though cache-hit extractions never carry graphs.
 //
 // ctx bounds both the wait on a concurrent decode and the decode itself.
 // A cancelled attempt returns ctx's error and records nothing — in memory
 // or on disk — so cancellation can never masquerade as a failed
 // validation (the no-poison rule warm resumes depend on).
 func (uc *UniqueCache) Payload(ctx context.Context, h extract.PayloadHash, decode func() (*graph.Graph, error)) (graph.Checksum, bool, error) {
-	for {
-		uc.mu.Lock()
-		pe, ok := uc.payloads[h]
-		if !ok {
-			pe = &payloadEntry{}
-			uc.payloads[h] = pe
-		}
-		switch pe.state {
-		case entryDone:
-			sum, valid := pe.sum, pe.ok
-			uc.mu.Unlock()
-			return sum, valid, nil
-		case entryRunning:
-			fl := pe.flight
-			uc.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				return "", false, ctx.Err()
-			case <-fl:
-				metSingleflightWaits.Inc()
-				// Outcome recorded, or the attempt was abandoned —
-				// re-examine the state (and maybe become the new worker).
-			}
-		default: // idle: this caller computes
-			pe.state = entryRunning
-			pe.flight = make(chan struct{})
-			fl := pe.flight
-			uc.mu.Unlock()
-			sum, valid, err := uc.computePayload(ctx, h, decode)
-			uc.mu.Lock()
-			pe.flight = nil
-			if err != nil {
-				// Cancelled mid-compute: abandon, don't record. The next
-				// attempt (a live waiter or a resumed run) re-decodes.
-				pe.state = entryIdle
-				close(fl)
-				uc.mu.Unlock()
-				return "", false, err
-			}
-			pe.state = entryDone
-			pe.sum, pe.ok = sum, valid
-			close(fl)
-			uc.mu.Unlock()
-			return sum, valid, nil
-		}
-	}
+	out, err := uc.payloads.do(ctx, h, func() (payloadOutcome, error) {
+		return uc.computePayload(ctx, h, decode)
+	})
+	return out.sum, out.ok, err
 }
 
 // computePayload resolves one payload outcome: the persisted record when
 // resuming, otherwise a real decode. The returned error is non-nil only
 // for context cancellation; a decode failure is a recorded (ok=false)
 // outcome, not an error.
-func (uc *UniqueCache) computePayload(ctx context.Context, h extract.PayloadHash, decode func() (*graph.Graph, error)) (graph.Checksum, bool, error) {
+func (uc *UniqueCache) computePayload(ctx context.Context, h extract.PayloadHash, decode func() (*graph.Graph, error)) (payloadOutcome, error) {
 	// Warm path: a persisted outcome for these exact bytes replaces the
 	// decode. A successful outcome is only trusted when its analysis
 	// record is still loadable too: payload records are written at decode
@@ -286,51 +204,49 @@ func (uc *UniqueCache) computePayload(ctx context.Context, h extract.PayloadHash
 	// payload record pointing at an analysis that cannot be rebuilt — that
 	// hash must decode again.
 	if uc.st != nil && uc.resume {
-		if rec, ok := uc.loadPayloadRecord(h); ok {
-			if !rec.OK {
-				uc.warmPayloads.Add(1)
-				metWarmPayloadHits.Inc()
-				return "", false, nil
-			}
-			if uc.HasAnalysis(rec.Checksum) {
-				uc.warmPayloads.Add(1)
-				metWarmPayloadHits.Inc()
-				return rec.Checksum, true, nil
-			}
+		if out, ok := uc.loadPayloadRecord(h); ok && (!out.ok || uc.warmAnalysis(ctx, out.sum) == nil) {
+			uc.warmPayloads.Add(1)
+			metWarmPayloadHits.Inc()
+			return out, nil
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return "", false, err // cancelled before the decode started
+		return payloadOutcome{}, err // cancelled before the decode started
 	}
 	uc.decodes.Add(1)
 	metDecodes.Inc()
 	g, err := decode()
 	if err != nil {
 		if errs.IsContextError(err) {
-			return "", false, err // aborted decode: the outcome is unknown
+			return payloadOutcome{}, err // aborted decode: the outcome is unknown
 		}
 		uc.persistPayloadRecord(h, payloadRecord{V: persistCodecVersion, OK: false})
-		return "", false, nil // the payload does not validate
+		return payloadOutcome{}, nil // the payload does not validate
 	}
 	sum := graph.ModelChecksum(g)
 	uc.seedEntry(sum, g)
 	uc.persistPayloadRecord(h, payloadRecord{V: persistCodecVersion, OK: true, Checksum: sum})
-	return sum, true, nil
+	return payloadOutcome{sum: sum, ok: true}, nil
 }
 
-// seedEntry parks a decoded graph on its checksum entry for the analysis
-// pass to consume. First seed wins (same checksum means byte-identical
-// graph content, so any instance serves).
+// seedEntry parks a decoded graph for its checksum's analysis, unless
+// that analysis is already recorded. First seed wins (same checksum means
+// byte-identical graph content, so any instance serves). The check and
+// the park share uc.mu with dropSeed, which runs after every record, so
+// no seed outlives its checksum's record.
 func (uc *UniqueCache) seedEntry(sum graph.Checksum, g *graph.Graph) {
 	uc.mu.Lock()
-	e, ok := uc.entries[sum]
-	if !ok {
-		e = &cacheEntry{}
-		uc.entries[sum] = e
+	if _, ok := uc.seeds[sum]; !ok && !uc.analyses.recorded(sum) {
+		uc.seeds[sum] = g
 	}
-	if e.seed == nil {
-		e.seed = g
-	}
+	uc.mu.Unlock()
+}
+
+// dropSeed releases a checksum's seed once its analysis is recorded, so
+// it stops pinning the source APK buffer.
+func (uc *UniqueCache) dropSeed(sum graph.Checksum) {
+	uc.mu.Lock()
+	delete(uc.seeds, sum)
 	uc.mu.Unlock()
 }
 
@@ -338,75 +254,57 @@ func (uc *UniqueCache) seedEntry(sum graph.Checksum, g *graph.Graph) {
 // sight of its checksum. Models sharing a checksum are byte-identical by
 // construction, so any instance can serve as the compute input: the
 // model's own graph when extraction decoded in place, or the seed the
-// payload front door registered. ctx bounds the wait on a concurrent
-// analysis; a cancelled attempt is abandoned (entry back to idle, seed
-// kept) rather than recorded, so cancellation never poisons a checksum.
+// payload front door parked. ctx bounds the wait on a concurrent
+// analysis; a cancelled attempt is abandoned (seed kept) rather than
+// recorded, so cancellation never poisons a checksum.
 func (uc *UniqueCache) get(ctx context.Context, m extract.Model) (*uniqueData, error) {
-	for {
-		uc.mu.Lock()
-		e, ok := uc.entries[m.Checksum]
-		if !ok {
-			e = &cacheEntry{}
-			uc.entries[m.Checksum] = e
-		}
-		switch e.state {
-		case entryDone:
-			d, err := e.data, e.err
-			uc.mu.Unlock()
-			return d, err
-		case entryRunning:
-			fl := e.flight
-			uc.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-fl:
-				metSingleflightWaits.Inc()
-			}
-		default: // idle: this caller computes
-			e.state = entryRunning
-			e.flight = make(chan struct{})
-			fl := e.flight
-			seed := e.seed
-			uc.mu.Unlock()
-			d, err := uc.computeAnalysis(ctx, m, seed)
-			uc.mu.Lock()
-			e.flight = nil
-			if err != nil && errs.IsContextError(err) {
-				e.state = entryIdle // abandoned; the seed stays for the next attempt
-				close(fl)
-				uc.mu.Unlock()
-				return nil, err
-			}
-			e.state = entryDone
-			e.data, e.err = d, err
-			// The seed has served its purpose once the analysis ran;
-			// release it so it stops pinning the source APK buffer, and
-			// drop any record HasAnalysis kept for it.
-			e.seed = nil
-			delete(uc.verified, m.Checksum)
-			close(fl)
-			uc.mu.Unlock()
-			return d, err
-		}
+	return uc.analyses.do(ctx, m.Checksum, func() (*uniqueData, error) {
+		return uc.computeAnalysis(ctx, m)
+	})
+}
+
+// HasAnalysis reports whether the checksum's analysis can be served
+// without a graph: recorded in this process, or loadable from the
+// persistent store under the current codec — including its graph blob,
+// verified against the checksum, when this cache retains graphs and the
+// record flags one. The report-level warm path uses it to refuse
+// persisted reports whose models can no longer be resolved (crashed
+// writer, codec bump, corrupt blob): such reports re-extract and
+// self-heal instead of failing the study. The check is the warm load
+// itself: a loaded analysis is recorded, so a warm run reads each record
+// once, and a miss records nothing.
+func (uc *UniqueCache) HasAnalysis(sum graph.Checksum) bool {
+	return uc.warmAnalysis(context.Background(), sum) == nil
+}
+
+// warmAnalysis is a warm-only attempt on the checksum's flight: it
+// returns nil when the analysis is recorded or loads from the store, and
+// errMiss or ctx's error otherwise.
+func (uc *UniqueCache) warmAnalysis(ctx context.Context, sum graph.Checksum) error {
+	if uc.st == nil || !uc.resume || !validChecksum(sum) {
+		return errMiss
 	}
+	_, err := uc.analyses.do(ctx, sum, func() (*uniqueData, error) {
+		return uc.loadAnalysisRecord(sum)
+	})
+	return err
 }
 
 // computeAnalysis derives one checksum's uniqueData: warm record load when
 // resuming, otherwise profile/classify/fingerprint over the graph in hand
 // (the extraction's own or the payload seed).
-func (uc *UniqueCache) computeAnalysis(ctx context.Context, m extract.Model, seed *graph.Graph) (*uniqueData, error) {
+func (uc *UniqueCache) computeAnalysis(ctx context.Context, m extract.Model) (*uniqueData, error) {
 	g := m.Graph
 	if g == nil {
-		g = seed
+		uc.mu.Lock()
+		g = uc.seeds[m.Checksum]
+		uc.mu.Unlock()
 	}
 	if g == nil && uc.st != nil && uc.resume {
 		// Warm path: the checksum was analysed by an earlier run — rebuild
 		// the per-checksum data from its persisted record without a graph
 		// in hand.
-		if d, ok := uc.loadAnalysisRecord(m.Checksum); ok {
-			uc.warmAnalyses.Add(1)
-			metWarmAnalysisHits.Inc()
+		if d, err := uc.loadAnalysisRecord(m.Checksum); err == nil {
 			return d, nil
 		}
 	}

@@ -52,19 +52,20 @@ func payloadKey(h extract.PayloadHash) string { return store.HexKey(h[:]) }
 // (hex md5 by construction; anything else would be a corrupted report).
 func checksumKey(sum graph.Checksum) string { return string(sum) }
 
-func (uc *UniqueCache) loadPayloadRecord(h extract.PayloadHash) (payloadRecord, bool) {
+// loadPayloadRecord reads one payload hash's persisted decode outcome.
+func (uc *UniqueCache) loadPayloadRecord(h extract.PayloadHash) (payloadOutcome, bool) {
 	var rec payloadRecord
 	data, ok, err := uc.st.Get(store.KindPayload, payloadKey(h))
 	if err != nil || !ok {
-		return rec, false
+		return payloadOutcome{}, false
 	}
 	if store.OpenJSON(data, &rec) != nil || rec.V != persistCodecVersion {
-		return payloadRecord{}, false
+		return payloadOutcome{}, false
 	}
-	if rec.OK && !validChecksum(rec.Checksum) {
-		return payloadRecord{}, false
+	if !rec.OK {
+		return payloadOutcome{}, true
 	}
-	return rec, true
+	return payloadOutcome{sum: rec.Checksum, ok: true}, validChecksum(rec.Checksum)
 }
 
 func (uc *UniqueCache) persistPayloadRecord(h extract.PayloadHash, rec payloadRecord) {
@@ -78,88 +79,22 @@ func (uc *UniqueCache) persistPayloadRecord(h extract.PayloadHash, rec payloadRe
 	uc.notePersistErr(err)
 }
 
-// HasAnalysis reports whether the checksum's analysis record is loadable
-// from the persistent store under the current codec — including its graph
-// blob, when this cache retains graphs and the record flags one. The
-// report-level warm path uses it to refuse persisted reports whose models
-// can no longer be resolved (crashed writer, codec bump): such reports
-// re-extract and self-heal instead of failing the study. Verdicts are
-// memoised per checksum; a successful persist or load flips the memo. A
-// record found loadable is kept for loadAnalysisRecord until the
-// checksum's analysis runs, so a warm run reads each record once.
-func (uc *UniqueCache) HasAnalysis(sum graph.Checksum) bool {
-	if uc.st == nil || !uc.resume || !validChecksum(sum) {
-		return false
+// loadAnalysisRecord rebuilds uniqueData from a persisted record under
+// the current codec and counts the warm hit. The graph is only
+// materialised when the cache keeps graphs, and a graph blob that is
+// missing or fails its checksum makes the whole record a miss. Every miss
+// returns errMiss.
+func (uc *UniqueCache) loadAnalysisRecord(sum graph.Checksum) (*uniqueData, error) {
+	if !validChecksum(sum) {
+		return nil, errMiss
 	}
-	if v, seen := uc.verdict(sum); seen {
-		return v
-	}
-	uc.verifyMu.Lock()
-	defer uc.verifyMu.Unlock()
-	if v, seen := uc.verdict(sum); seen {
-		return v // verified while this call waited
-	}
-	w, ok := uc.decodeAnalysisWire(sum)
-	uc.mu.Lock()
-	if e := uc.entries[sum]; ok && (e == nil || e.state != entryDone) {
-		if uc.verified == nil {
-			uc.verified = map[graph.Checksum]analysisWire{}
-		}
-		uc.verified[sum] = w
-	}
-	uc.mu.Unlock()
-	uc.noteVerified(sum, ok)
-	return ok
-}
-
-func (uc *UniqueCache) verdict(sum graph.Checksum) (v, seen bool) {
-	uc.mu.Lock()
-	v, seen = uc.verifiedSums[sum]
-	uc.mu.Unlock()
-	return v, seen
-}
-
-func (uc *UniqueCache) noteVerified(sum graph.Checksum, ok bool) {
-	uc.mu.Lock()
-	if uc.verifiedSums == nil {
-		uc.verifiedSums = map[graph.Checksum]bool{}
-	}
-	uc.verifiedSums[sum] = ok
-	uc.mu.Unlock()
-}
-
-// decodeAnalysisWire loads and validates one persisted analysis record,
-// including the presence of its graph blob when this cache would need it.
-func (uc *UniqueCache) decodeAnalysisWire(sum graph.Checksum) (analysisWire, bool) {
-	var w analysisWire
 	data, ok, err := uc.st.Get(store.KindAnalysis, checksumKey(sum))
 	if err != nil || !ok {
-		return w, false
+		return nil, errMiss
 	}
+	var w analysisWire
 	if store.OpenJSON(data, &w) != nil || w.V != persistCodecVersion || w.Profile == nil {
-		return analysisWire{}, false
-	}
-	if uc.keepGraphs && w.HasGraph && !uc.st.Has(store.KindGraph, checksumKey(sum)) {
-		return analysisWire{}, false
-	}
-	return w, true
-}
-
-// loadAnalysisRecord rebuilds uniqueData from a persisted record: the one
-// HasAnalysis kept, else a fresh read. The graph is only materialised when
-// the cache keeps graphs.
-func (uc *UniqueCache) loadAnalysisRecord(sum graph.Checksum) (*uniqueData, bool) {
-	if !validChecksum(sum) {
-		return nil, false
-	}
-	uc.mu.Lock()
-	w, ok := uc.verified[sum]
-	delete(uc.verified, sum)
-	uc.mu.Unlock()
-	if !ok {
-		if w, ok = uc.decodeAnalysisWire(sum); !ok {
-			return nil, false
-		}
+		return nil, errMiss
 	}
 	d := &uniqueData{
 		name:      w.Name,
@@ -173,12 +108,13 @@ func (uc *UniqueCache) loadAnalysisRecord(sum graph.Checksum) (*uniqueData, bool
 	if uc.keepGraphs && w.HasGraph {
 		g, ok := loadGraphBlob(uc.st, sum)
 		if !ok {
-			return nil, false
+			return nil, errMiss
 		}
 		d.graph = g
 	}
-	uc.noteVerified(sum, true)
-	return d, true
+	uc.warmAnalyses.Add(1)
+	metWarmAnalysisHits.Inc()
+	return d, nil
 }
 
 // loadGraphBlob reads one checksum's decoded graph from the graph CAS.
@@ -232,12 +168,6 @@ func (uc *UniqueCache) persistAnalysisRecord(sum graph.Checksum, d *uniqueData, 
 	data, err := store.SealJSON(w)
 	if err == nil {
 		err = uc.st.Put(store.KindAnalysis, checksumKey(sum), data)
-	}
-	if err == nil {
-		// The record (and its graph, written above) is now resolvable;
-		// flip any cached negative verdict so warm report checks in this
-		// run see the freshly-healed store.
-		uc.noteVerified(sum, true)
 	}
 	uc.notePersistErr(err)
 }

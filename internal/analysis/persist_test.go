@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/extract"
@@ -168,6 +169,118 @@ func TestPersistentCacheResumeOffWritesButNeverReads(t *testing.T) {
 	coldDecodes := 0
 	if _, ok, _ := cold.Payload(context.Background(), h, mkDecode(&coldDecodes)); !ok || coldDecodes != 1 {
 		t.Fatalf("resume=false must recompute: ok=%v decodes=%d", ok, coldDecodes)
+	}
+}
+
+// TestPersistentCacheTrustCheckSharesTheLoad runs the warm trust check
+// and ingest's get for one stored checksum from many goroutines at once:
+// both are attempts on the checksum's one flight, so the record is loaded
+// once and every caller gets that one analysis.
+func TestPersistentCacheTrustCheckSharesTheLoad(t *testing.T) {
+	st := openStore(t)
+	h, mkDecode := payloadFixture(t, 17)
+	ctx := context.Background()
+	cold := NewPersistentUniqueCache(true, st, true)
+	decodes := 0
+	sum, _, _ := cold.Payload(ctx, h, mkDecode(&decodes))
+	if _, err := cold.get(ctx, extract.Model{Checksum: sum}); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := NewPersistentUniqueCache(true, st, true)
+	const n = 16
+	got := make([]*uniqueData, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 && !warm.HasAnalysis(sum) {
+				t.Error("trust check refused a stored analysis")
+				return
+			}
+			d, err := warm.get(ctx, extract.Model{Checksum: sum})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = d
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if got[i] != got[0] {
+			t.Fatal("concurrent trust checks and gets loaded the analysis more than once")
+		}
+	}
+	if ws := warm.Stats(); ws.WarmAnalysisHits != 1 || ws.Profiles != 0 || ws.Checksums != 1 {
+		t.Fatalf("warm stats: %+v", ws)
+	}
+}
+
+// TestTwinPayloadParksNoSeedAfterAnalysis decodes two payloads of one
+// model, as the tflite+snpe twins ship it, on either side of the
+// checksum's analysis: once computed from the first decode's seed, once
+// loaded through HasAnalysis. Either way the second decode must park no
+// seed: nothing would consume it, and it would pin its source buffer.
+func TestTwinPayloadParksNoSeedAfterAnalysis(t *testing.T) {
+	g, err := zoo.Build(zoo.Spec{Task: zoo.TaskFaceDetection, Seed: 31, Hinted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(name string) (extract.PayloadHash, func() (*graph.Graph, error)) {
+		f, _ := formats.ByName(name)
+		fs, err := f.Encode(g, g.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return extract.HashPayload(name, fs), func() (*graph.Graph, error) { return f.Decode(fs) }
+	}
+	tflite, decodeTFLite := payload("tflite")
+	snpe, decodeSNPE := payload("snpe")
+	parked := func(uc *UniqueCache) int {
+		uc.mu.Lock()
+		defer uc.mu.Unlock()
+		return len(uc.seeds)
+	}
+	ctx := context.Background()
+
+	// Computed: the first decode's seed feeds the analysis.
+	uc := NewUniqueCache(false)
+	sum, ok, err := uc.Payload(ctx, tflite, decodeTFLite)
+	if err != nil || !ok || parked(uc) != 1 {
+		t.Fatalf("first decode: ok=%v err=%v seeds=%d", ok, err, parked(uc))
+	}
+	if _, err := uc.get(ctx, extract.Model{Checksum: sum}); err != nil {
+		t.Fatal(err)
+	}
+	twin, ok, err := uc.Payload(ctx, snpe, decodeSNPE)
+	if err != nil || !ok || twin != sum {
+		t.Fatalf("twin decode: sum=%s want %s ok=%v err=%v", twin, sum, ok, err)
+	}
+	if n := parked(uc); n != 0 || uc.Stats().Decodes != 2 {
+		t.Fatalf("twin decoded after the computed analysis: %d seeds parked, %d decodes", n, uc.Stats().Decodes)
+	}
+
+	// Loaded: the trust check records the analysis before the twin decodes.
+	st := openStore(t)
+	cold := NewPersistentUniqueCache(true, st, true)
+	if _, _, err := cold.Payload(ctx, tflite, decodeTFLite); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.get(ctx, extract.Model{Checksum: sum}); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewPersistentUniqueCache(true, st, true)
+	if !warm.HasAnalysis(sum) {
+		t.Fatal("persisted analysis not found")
+	}
+	if _, ok, err := warm.Payload(ctx, snpe, decodeSNPE); err != nil || !ok {
+		t.Fatalf("twin decode: ok=%v err=%v", ok, err)
+	}
+	ws := warm.Stats()
+	if n := parked(warm); n != 0 || ws.Decodes != 1 || ws.WarmAnalysisHits != 1 || ws.Profiles != 0 {
+		t.Fatalf("twin decoded after the loaded analysis: %d seeds parked, stats %+v", n, ws)
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -260,6 +263,50 @@ func TestChaosStoreReadCorruptionSelfHeals(t *testing.T) {
 	}
 	if healed.Persist.ExtractedReports == 0 {
 		t.Fatal("self-heal did not re-extract anything")
+	}
+	if !reflect.DeepEqual(fingerprint(t, cold), fingerprint(t, healed)) {
+		t.Fatal("self-healed study diverges from the cold run")
+	}
+}
+
+// TestChaosCorruptGraphBlobSelfHeals corrupts one persisted graph blob
+// between a cold run and a warm one. The blob no longer matches its
+// checksum, so the warm trust check must refuse the analysis behind it:
+// the reports that reference it re-extract, the model is decoded and
+// profiled again, and the study matches the cold run with nothing
+// quarantined.
+func TestChaosCorruptGraphBlobSelfHeals(t *testing.T) {
+	dir := t.TempDir()
+	cold, err := Run(context.Background(), cachedConfig(dir, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	blobs, err := filepath.Glob(filepath.Join(dir, store.KindGraph, "*", "*"))
+	if err != nil || len(blobs) == 0 {
+		t.Fatalf("cold run left no graph blobs (err %v)", err)
+	}
+	sort.Strings(blobs)
+	data, err := os.ReadFile(blobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 32 {
+		t.Fatalf("graph blob %s holds only %d bytes", blobs[0], len(data))
+	}
+	for i := len(data) / 2; i < len(data)/2+16; i++ {
+		data[i] ^= 0xff
+	}
+	if err := os.WriteFile(blobs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	healed, err := Run(context.Background(), cachedConfig(dir, false))
+	if err != nil {
+		t.Fatalf("a corrupt graph blob must degrade to recomputation: %v", err)
+	}
+	if len(healed.Quarantine) != 0 {
+		t.Fatalf("warm run quarantined %d apps, first: %v", len(healed.Quarantine), healed.Quarantine[0])
 	}
 	if !reflect.DeepEqual(fingerprint(t, cold), fingerprint(t, healed)) {
 		t.Fatal("self-healed study diverges from the cold run")

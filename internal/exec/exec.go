@@ -418,25 +418,37 @@ func resolveWeights(st *step, l *graph.Layer, weightScale float64, inShape graph
 // layer whose kernel or bias does not hold exactly the values the layer's
 // dimensions index. graph.Validate checks each weight only against its own
 // declared shape, so without this a graph declaring a short kernel would
-// compile and then index past its end in Run.
+// compile and then index past its end in Run. The dimensions are checked
+// with planValues before they are multiplied in int, so a product that
+// would wrap to the kernel's length is refused too.
 func checkWeightSizes(st *step, in, out *tensorInfo) error {
 	a := st.attrs
 	outC := lastDimOf(out.shape)
-	var want int
+	var dims []int
 	switch st.op {
 	case graph.OpConv2D:
-		want = a.KernelH * a.KernelW * lastDimOf(in.shape) * outC
+		dims = []int{a.KernelH, a.KernelW, lastDimOf(in.shape), outC}
 	case graph.OpDepthwiseConv2D:
-		want = a.KernelH * a.KernelW * outC // [kh, kw, C, mult], C·mult = outC
+		dims = []int{a.KernelH, a.KernelW, outC} // [kh, kw, C, mult], C·mult = outC
 	case graph.OpTransposeConv2D:
-		want = a.KernelH * a.KernelW * outC * lastDimOf(in.shape)
+		dims = []int{a.KernelH, a.KernelW, outC, lastDimOf(in.shape)}
 	case graph.OpDense:
 		_, inF, units := denseDims(in, out)
-		want = inF * units
+		dims = []int{inF, units}
 	default:
 		return nil
 	}
-	if n := len(st.wFloat) + len(st.wRaw); n != want {
+	n := len(st.wFloat) + len(st.wRaw)
+	// 4 bytes a value: the interpreter holds every kernel as float32, or
+	// as int8 packed two to an int64 or widened to float32.
+	if !planValues(4, dims...) {
+		return fmt.Errorf("kernel holds %d values, and the layer's dimensions need more than %d bytes", n, maxPlanBytes)
+	}
+	want := 1
+	for _, d := range dims {
+		want *= d
+	}
+	if n != want {
 		return fmt.Errorf("kernel holds %d values, the layer needs %d", n, want)
 	}
 	if st.bFloat != nil && len(st.bFloat) != outC {

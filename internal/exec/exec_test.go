@@ -407,6 +407,9 @@ func TestCompileRefusesOversizedPlans(t *testing.T) {
 		{"conv-2^15x2^15-kernel", `layer "l": synthesized`, oneLayer(graph.Shape{1, 4, 4, 3}, graph.Layer{Op: graph.OpConv2D,
 			Attrs: graph.Attrs{KernelH: 1 << 15, KernelW: 1 << 15, StrideH: 1, StrideW: 1, PadSame: true, Filters: 8}})},
 		{"concat-1.5GB-arena", "float arena", concat},
+		{"conv-kernel-size-wraps-to-4", "kernel holds 4 values", oneLayer(graph.Shape{1, 4, 4, 1}, graph.Layer{Op: graph.OpConv2D,
+			Attrs:   graph.Attrs{KernelH: 1<<62 + 1, KernelW: 4, StrideH: 1, StrideW: 1, PadSame: true, Filters: 1},
+			Weights: []graph.Weight{{Name: "kernel", Shape: graph.Shape{4}, DType: graph.Float32, Data: make([]byte, 16)}}})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.g.Validate(); err != nil {
