@@ -515,20 +515,14 @@ func runBench(args []string) error {
 	var data []byte
 	name := *model
 	if *demo != "" {
-		task := zoo.TaskUnknown
-		for _, t := range zoo.AllTasks() {
-			if t.String() == *demo {
-				task = t
-			}
-		}
-		if task == zoo.TaskUnknown {
-			return fmt.Errorf("unknown demo task %q", *demo)
-		}
-		bm, err := demoModel(task)
+		g, err := demoGraph(*demo)
 		if err != nil {
 			return err
 		}
-		data, name = bm, *demo
+		if data, err = core.EncodeTFLite(g); err != nil {
+			return err
+		}
+		name = *demo
 	} else {
 		if *model == "" {
 			return fmt.Errorf("need -model FILE or -demo TASK")
@@ -585,16 +579,7 @@ func runExec(args []string) error {
 	var name string
 	switch {
 	case *demo != "":
-		task := zoo.TaskUnknown
-		for _, t := range zoo.AllTasks() {
-			if t.String() == *demo {
-				task = t
-			}
-		}
-		if task == zoo.TaskUnknown {
-			return fmt.Errorf("unknown demo task %q", *demo)
-		}
-		built, err := zoo.Build(zoo.Spec{Task: task, Seed: 1, Hinted: true})
+		built, err := demoGraph(*demo)
 		if err != nil {
 			return err
 		}
@@ -624,19 +609,14 @@ func runExec(args []string) error {
 		if err != nil {
 			return err
 		}
-		for _, f := range formats.All() {
-			if f.Sniff(data) {
-				g, err = f.Decode(formats.FileSet{"model" + f.Extensions()[0]: data})
-				if err != nil {
-					return err
-				}
-				break
-			}
+		decoded, ok, err := formats.DecodeFile(data)
+		if err != nil {
+			return err
 		}
-		if g == nil {
+		if !ok {
 			return fmt.Errorf("%s matches no registered model format", *model)
 		}
-		name = *model
+		g, name = decoded, *model
 	default:
 		return fmt.Errorf("need -demo TASK, -model FILE, or -cache-dir DIR -checksum KEY")
 	}
@@ -921,12 +901,15 @@ func runFsck(args []string) error {
 	return fmt.Errorf("fsck: %d issue(s) found (rerun with -fix to repair)", len(res.Issues))
 }
 
-func demoModel(task zoo.Task) ([]byte, error) {
-	g, err := zoo.Build(zoo.Spec{Task: task, Seed: 1, Hinted: true})
-	if err != nil {
-		return nil, err
+// demoGraph builds the zoo model the -demo flag of bench and exec names
+// by task.
+func demoGraph(task string) (*graph.Graph, error) {
+	for _, t := range zoo.AllTasks() {
+		if t.String() == task {
+			return zoo.Build(zoo.Spec{Task: t, Seed: 1, Hinted: true})
+		}
 	}
-	return core.EncodeTFLite(g)
+	return nil, fmt.Errorf("unknown demo task %q", task)
 }
 
 func runDevices() error {

@@ -15,11 +15,11 @@ import (
 // corpus) over a generated snapshot, in process.
 func buildCorpus(t *testing.T, snap *playstore.Snapshot, label string) *Corpus {
 	t.Helper()
-	c := NewCorpus(label, false)
-	for _, a := range snap.Apps {
+	c := NewShardedCorpus(label, false, len(snap.Apps), nil)
+	for i, a := range snap.Apps {
 		if !a.HasML() {
 			// Non-ML apps contribute to app totals without packaging cost.
-			c.Apps = append(c.Apps, AppInfo{Package: a.Package, Category: string(a.Category)})
+			c.AddApp(i, AppInfo{Package: a.Package, Category: string(a.Category)})
 			continue
 		}
 		apkBytes, err := snap.BuildAPK(a)
@@ -30,11 +30,11 @@ func buildCorpus(t *testing.T, snap *playstore.Snapshot, label string) *Corpus {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Package, err)
 		}
-		if err := c.AddReport(context.Background(), string(a.Category), rep); err != nil {
+		if err := c.AddReport(context.Background(), i, string(a.Category), rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return c
+	return c.Merge()
 }
 
 var cachedStudy *playstore.Study

@@ -16,12 +16,12 @@ import (
 // uniqueData is everything derived once per distinct model checksum —
 // profiling, classification, architecture fingerprinting and layer
 // checksums. It is immutable after construction, so a single instance can
-// back the Unique records of any number of corpus shards and snapshots.
+// back the Unique records of any number of corpora.
 // Framework is deliberately absent: the checksum hashes the decoded
 // graph+weights, so one checksum can ship under several formats (the
 // Section 6.3 tflite+dlc twins) and the field would be first-winner
-// nondeterministic here; corpora assign it from their first record in
-// deterministic order instead.
+// nondeterministic here; corpora assign it from the checksum's first
+// record in crawl-index order instead.
 type uniqueData struct {
 	name      string
 	task      zoo.Task
@@ -33,11 +33,11 @@ type uniqueData struct {
 	graph     *graph.Graph // nil unless the cache retains graphs
 }
 
-// UniqueCache deduplicates per-checksum model analysis across corpus
-// shards and snapshots. The paper's two crawls overlap heavily (duplicate
+// UniqueCache deduplicates per-checksum model analysis across ingest
+// workers and snapshots. The paper's two crawls overlap heavily (duplicate
 // checksums across 2020 and 2021), so a shared cache profiles, classifies
 // and fingerprints each distinct model exactly once, no matter how many
-// shards or snapshots ingest it concurrently.
+// workers or snapshots ingest it concurrently.
 //
 // The cache also implements extract.DecodeCache — the hash-before-decode
 // front door: extraction content-hashes a candidate file-set and asks
@@ -176,7 +176,7 @@ func (uc *UniqueCache) PayloadCount() int { return uc.payloads.len() }
 // Payload implements extract.DecodeCache: the first caller for a given
 // payload hash runs decode and the outcome (checksum on success, failure
 // otherwise) is recorded; every other caller — concurrent or later, any
-// shard, either snapshot — gets the recorded outcome without decoding.
+// worker, either snapshot — gets the recorded outcome without decoding.
 // Successful decodes seed the checksum's analysis so the graph is
 // available to it even though cache-hit extractions never carry graphs.
 //

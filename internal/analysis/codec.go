@@ -68,9 +68,11 @@ func EncodeCorpus(c *Corpus) ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// DecodeCorpus reverses EncodeCorpus. The loaded corpus serves every
-// read-side method (report tables, diffs, bench selection when graphs were
-// persisted); its shared-instances index rebuilds lazily on first use.
+// DecodeCorpus reverses EncodeCorpus. It derives the uniques from the
+// blob's records by the rule Merge builds them with (Corpus.count) and
+// rejects a blob whose stored uniques disagree: a record whose checksum
+// has no unique, a unique no record names, or a stored framework or
+// instance count other than its records give.
 func DecodeCorpus(data []byte) (*Corpus, error) {
 	var w corpusWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -79,26 +81,50 @@ func DecodeCorpus(data []byte) (*Corpus, error) {
 	if w.V != persistCodecVersion {
 		return nil, fmt.Errorf("analysis: corpus codec version %d, want %d", w.V, persistCodecVersion)
 	}
+	stored := make(map[graph.Checksum]*uniqueWire, len(w.Uniques))
+	for i := range w.Uniques {
+		uw := &w.Uniques[i]
+		if uw.Profile == nil {
+			return nil, fmt.Errorf("analysis: corpus unique %s has no profile", uw.Checksum)
+		}
+		if stored[uw.Checksum] != nil {
+			return nil, fmt.Errorf("analysis: corpus unique %s is stored twice", uw.Checksum)
+		}
+		stored[uw.Checksum] = uw
+	}
 	c := NewCorpus(w.Label, w.KeepGraphs)
 	c.Apps = w.Apps
 	c.Records = w.Records
+	for _, r := range w.Records {
+		uw := stored[r.Checksum]
+		if uw == nil {
+			return nil, fmt.Errorf("analysis: corpus record %s in %s names no stored unique", r.Checksum, r.Package)
+		}
+		c.count(r, uw.unique)
+	}
 	for _, uw := range w.Uniques {
-		u := &Unique{
-			Checksum:  uw.Checksum,
-			Name:      uw.Name,
-			Framework: uw.Framework,
-			Task:      zoo.TaskFromCode(uw.Task),
-			Arch:      zoo.ArchFromCode(uw.Arch),
-			Modality:  graph.Modality(uw.Modality),
-			Profile:   uw.Profile,
-			LayerSums: uw.LayerSums,
-			Weights:   uw.Weights,
-			Instances: uw.Instances,
+		u := c.Uniques[uw.Checksum]
+		if u == nil {
+			return nil, fmt.Errorf("analysis: corpus unique %s is named by no record", uw.Checksum)
 		}
-		if u.Profile == nil {
-			return nil, fmt.Errorf("analysis: corpus unique %s has no profile", uw.Checksum)
+		if u.Framework != uw.Framework || u.Instances != uw.Instances {
+			return nil, fmt.Errorf("analysis: corpus unique %s stores %s x%d, its records give %s x%d",
+				uw.Checksum, uw.Framework, uw.Instances, u.Framework, u.Instances)
 		}
-		c.Uniques[u.Checksum] = u
 	}
 	return c, nil
+}
+
+// unique rebuilds the Unique this entry stores, but for the fields
+// Corpus.count derives from records.
+func (uw *uniqueWire) unique() *Unique {
+	return &Unique{
+		Name:      uw.Name,
+		Task:      zoo.TaskFromCode(uw.Task),
+		Arch:      zoo.ArchFromCode(uw.Arch),
+		Modality:  graph.Modality(uw.Modality),
+		Profile:   uw.Profile,
+		LayerSums: uw.LayerSums,
+		Weights:   uw.Weights,
+	}
 }

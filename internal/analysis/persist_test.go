@@ -3,8 +3,10 @@ package analysis
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -375,5 +377,53 @@ func TestCorpusCodecVersionGate(t *testing.T) {
 	}
 	if _, err := DecodeCorpus([]byte(`garbage`)); err == nil {
 		t.Fatal("garbage must not decode")
+	}
+
+	// Stored uniques must be what the records give: aa ships as a
+	// tflite+dlc twin (first record tflite) in two apps, bb once.
+	prof := &graph.Profile{}
+	for _, row := range []struct {
+		name   string
+		mangle func(w *corpusWire)
+		want   string // error substring; "" decodes
+	}{
+		{"as encoded", func(*corpusWire) {}, ""},
+		{"record naming a missing unique", func(w *corpusWire) {
+			w.Records = append(w.Records, Record{Package: "c", Framework: "tflite", Checksum: "cc"})
+		}, "names no stored unique"},
+		{"unique no record names", func(w *corpusWire) {
+			w.Uniques = append(w.Uniques, uniqueWire{Checksum: "cc", Framework: "tflite", Profile: prof, Instances: 1})
+		}, "named by no record"},
+		{"instance count off by one", func(w *corpusWire) { w.Uniques[1].Instances++ }, "its records give"},
+		{"changed framework", func(w *corpusWire) { w.Uniques[0].Framework = "dlc" }, "its records give"},
+	} {
+		w := corpusWire{
+			V:     persistCodecVersion,
+			Label: "x",
+			Records: []Record{
+				{Package: "a", Framework: "tflite", Checksum: "aa"},
+				{Package: "b", Framework: "dlc", Checksum: "aa"},
+				{Package: "b", Framework: "tflite", Checksum: "bb"},
+			},
+			Uniques: []uniqueWire{
+				{Checksum: "aa", Framework: "tflite", Profile: prof, Instances: 2},
+				{Checksum: "bb", Framework: "tflite", Profile: prof, Instances: 1},
+			},
+		}
+		row.mangle(&w)
+		blob, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := DecodeCorpus(blob)
+		if row.want == "" {
+			if err != nil || c.Uniques["aa"].Framework != "tflite" || c.Uniques["aa"].Instances != 2 {
+				t.Fatalf("%s: err=%v", row.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Fatalf("%s: err=%v, want one naming %q", row.name, err, row.want)
+		}
 	}
 }

@@ -6,163 +6,166 @@ import (
 	"sync"
 
 	"github.com/gaugenn/gaugenn/internal/extract"
-	"github.com/gaugenn/gaugenn/internal/nn/graph"
 )
 
-// ShardedCorpus ingests one snapshot's extraction reports concurrently.
-// Each app carries a global crawl index (its deterministic position in
-// chart order); the index picks the shard, so the contents of every shard
-// — and therefore the merged corpus — depend only on the index stream,
-// never on worker scheduling. Per-checksum analysis goes through a shared
-// UniqueCache, so shards (and, when the cache is shared wider, snapshots)
-// never re-profile a duplicate model.
+// ShardedCorpus builds one snapshot's Corpus from apps ingested
+// concurrently. Each app carries a global crawl index (its deterministic
+// position in chart order) and lands in that index's slot, so the merged
+// corpus depends only on what was ingested under which index, never on
+// worker scheduling. Per-checksum analysis goes through a shared
+// UniqueCache outside any lock, so concurrent ingesters (and, when the
+// cache is shared wider, snapshots) never re-profile a duplicate model.
 //
-// AddReport/AddApp are safe for concurrent use. Merge is called once,
-// after ingestion completes.
+// AddReport/AddApp are safe for concurrent use; each index is ingested at
+// most once. Merge is called once, after ingestion completes.
 type ShardedCorpus struct {
 	label      string
 	keepGraphs bool
 	cache      *UniqueCache
-	shards     []*corpusShard
+
+	mu    sync.Mutex
+	slots []appSlot
 }
 
-type corpusShard struct {
-	corpus *Corpus
-
-	mu sync.Mutex
-	// appIdx records the global index of each ingested app, parallel to
-	// corpus.Apps; recIdx likewise keys corpus.Records for the merge sort.
-	appIdx []int
-	recIdx []recKey
+// appSlot is one crawl index's app: its summary and its records in report
+// order, each with its analysis. A slot nothing was ingested under (an
+// app quarantined before its ingest) stays unset and contributes nothing.
+type appSlot struct {
+	set    bool
+	info   AppInfo
+	models []slotRecord
 }
 
-// recKey orders merged records: by owning app, then by the record's
-// position inside that app's report (reports list models in path order).
-type recKey struct {
-	app int
-	pos int
+type slotRecord struct {
+	rec Record
+	d   *uniqueData
 }
 
-// NewShardedCorpus creates a shard set. shards is clamped to >= 1; cache
-// may be shared across snapshots (nil allocates a private one).
-func NewShardedCorpus(label string, keepGraphs bool, shards int, cache *UniqueCache) *ShardedCorpus {
-	if shards < 1 {
-		shards = 1
-	}
+// NewShardedCorpus creates an empty corpus builder whose slot table is
+// presized for apps indices (it grows past them as needed). cache may be
+// shared across snapshots (nil allocates a private one).
+func NewShardedCorpus(label string, keepGraphs bool, apps int, cache *UniqueCache) *ShardedCorpus {
 	if cache == nil {
 		cache = NewUniqueCache(keepGraphs)
 	}
-	s := &ShardedCorpus{label: label, keepGraphs: keepGraphs, cache: cache}
-	for i := 0; i < shards; i++ {
-		s.shards = append(s.shards, &corpusShard{
-			corpus: NewCorpusWithCache(label, keepGraphs, cache),
-		})
-	}
-	return s
+	return &ShardedCorpus{label: label, keepGraphs: keepGraphs, cache: cache, slots: make([]appSlot, max(apps, 0))}
 }
 
-func (s *ShardedCorpus) shardFor(idx int) *corpusShard {
-	if idx < 0 {
-		idx = -idx
-	}
-	return s.shards[idx%len(s.shards)]
-}
-
-// AddReport ingests one app's extraction report under its global index.
-// ctx bounds the per-checksum analysis waits (see UniqueCache.get).
+// AddReport ingests one app's extraction report under its global index,
+// resolving each model's analysis through the cache first. ctx bounds the
+// per-checksum analysis waits (see UniqueCache.get).
 func (s *ShardedCorpus) AddReport(ctx context.Context, idx int, category string, rep *extract.Report) error {
-	// Warm the per-checksum cache before taking the shard lock, so one
-	// app's profiling never serialises another app's ingest into the same
-	// shard.
-	for _, m := range rep.Models {
-		if _, err := s.cache.get(ctx, m); err != nil {
+	models := make([]slotRecord, len(rep.Models))
+	for i, m := range rep.Models {
+		d, err := s.cache.get(ctx, m)
+		if err != nil {
 			return err
 		}
+		models[i] = slotRecord{
+			rec: Record{
+				Package:   rep.Package,
+				Category:  category,
+				Path:      m.Path,
+				Framework: m.Framework,
+				Checksum:  m.Checksum,
+				FileBytes: m.FileBytes,
+			},
+			d: d,
+		}
 	}
-	sh := s.shardFor(idx)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.corpus.AddReport(ctx, category, rep); err != nil {
-		return err
-	}
-	sh.appIdx = append(sh.appIdx, idx)
-	for pos := range rep.Models {
-		sh.recIdx = append(sh.recIdx, recKey{app: idx, pos: pos})
-	}
+	s.put(idx, appSlot{set: true, info: appInfo(category, rep), models: models})
 	return nil
 }
 
 // AddApp ingests an app summary with no extraction report (no ML signals).
 func (s *ShardedCorpus) AddApp(idx int, info AppInfo) {
-	sh := s.shardFor(idx)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.corpus.AddApp(info)
-	sh.appIdx = append(sh.appIdx, idx)
+	s.put(idx, appSlot{set: true, info: info})
 }
 
-// Merge folds every shard into a single Corpus whose Apps and Records
-// follow global index order — byte-identical output regardless of the
-// shard count or worker interleaving that produced the shards.
-func (s *ShardedCorpus) Merge() *Corpus {
-	out := NewCorpusWithCache(s.label, s.keepGraphs, s.cache)
+func (s *ShardedCorpus) put(idx int, slot appSlot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for idx >= len(s.slots) {
+		s.slots = append(s.slots, appSlot{})
+	}
+	s.slots[idx] = slot
+}
 
-	type idxApp struct {
-		idx int
-		app AppInfo
-	}
-	type idxRec struct {
-		key recKey
-		rec Record
-	}
-	var apps []idxApp
-	var recs []idxRec
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for i, a := range sh.corpus.Apps {
-			apps = append(apps, idxApp{idx: sh.appIdx[i], app: a})
+// Merge builds the Corpus: Apps and Records in index order, each app's
+// records in report order, and every Unique derived from the records by
+// Corpus.count. Equal slots give equal corpora, whatever the worker count
+// or interleaving that filled them.
+func (s *ShardedCorpus) Merge() *Corpus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	apps, records := 0, 0
+	for _, sl := range s.slots {
+		if sl.set {
+			apps++
+			records += len(sl.models)
 		}
-		for i, r := range sh.corpus.Records {
-			recs = append(recs, idxRec{key: sh.recIdx[i], rec: r})
+	}
+	c := NewCorpus(s.label, s.keepGraphs)
+	c.Apps = make([]AppInfo, 0, apps)
+	c.Records = make([]Record, 0, records)
+	for _, sl := range s.slots {
+		if !sl.set {
+			continue
 		}
-		for sum, u := range sh.corpus.Uniques {
-			if have, ok := out.Uniques[sum]; ok {
-				have.Instances += u.Instances
-				if have.Graph == nil && u.Graph != nil {
-					have.Graph = u.Graph
-				}
-			} else {
-				cp := *u
-				out.Uniques[sum] = &cp
+		c.Apps = append(c.Apps, sl.info)
+		for _, m := range sl.models {
+			c.Records = append(c.Records, m.rec)
+			c.count(m.rec, func() *Unique { return m.d.unique(s.keepGraphs) })
+		}
+	}
+	return c
+}
+
+// appInfo summarises one app's extraction report.
+func appInfo(category string, rep *extract.Report) AppInfo {
+	info := AppInfo{
+		Package:           rep.Package,
+		Category:          category,
+		HasModels:         len(rep.Models) > 0,
+		HasMLLib:          rep.HasMLLibrary(),
+		UsesNNAPI:         rep.UsesNNAPI,
+		UsesXNNPACK:       rep.UsesXNNPACK,
+		UsesSNPE:          rep.UsesSNPE,
+		LazyModelDownload: rep.LazyModelDownload,
+		OnDeviceTraining:  rep.OnDeviceTraining,
+		FailedValidations: len(rep.FailedValidation),
+	}
+	seenAPI := map[string]bool{}
+	for _, d := range rep.CloudAPIs {
+		if !seenAPI[d.API] {
+			seenAPI[d.API] = true
+			info.CloudAPIs = append(info.CloudAPIs, d.API)
+			switch d.Provider {
+			case "google":
+				info.UsesGoogleCloud = true
+			case "aws":
+				info.UsesAWSCloud = true
 			}
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i].idx < apps[j].idx })
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].key.app != recs[j].key.app {
-			return recs[i].key.app < recs[j].key.app
-		}
-		return recs[i].key.pos < recs[j].key.pos
-	})
-	out.Apps = make([]AppInfo, len(apps))
-	for i, a := range apps {
-		out.Apps[i] = a.app
+	sort.Strings(info.CloudAPIs)
+	return info
+}
+
+// unique materialises a corpus-owned Unique from shared per-checksum data;
+// Corpus.count sets its checksum, framework and instance count.
+func (d *uniqueData) unique(keepGraphs bool) *Unique {
+	u := &Unique{
+		Name:      d.name,
+		Task:      d.task,
+		Arch:      d.arch,
+		Modality:  d.modality,
+		Profile:   d.profile,
+		LayerSums: d.layerSums,
+		Weights:   d.weights,
 	}
-	out.Records = make([]Record, len(recs))
-	framework := map[graph.Checksum]bool{}
-	for i, r := range recs {
-		out.Records[i] = r.rec
-		out.noteRecordLocked(r.rec)
-		// Shard-local first-seen Framework depends on scheduling (twins
-		// ship one checksum under several formats); reassign it from the
-		// globally-first record so merges are worker-count-independent.
-		if !framework[r.rec.Checksum] {
-			framework[r.rec.Checksum] = true
-			if u := out.Uniques[r.rec.Checksum]; u != nil {
-				u.Framework = r.rec.Framework
-			}
-		}
+	if keepGraphs {
+		u.Graph = d.graph
 	}
-	return out
+	return u
 }

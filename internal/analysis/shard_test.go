@@ -3,10 +3,12 @@ package analysis
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/extract"
+	"github.com/gaugenn/gaugenn/internal/nn/graph"
 	"github.com/gaugenn/gaugenn/internal/playstore"
 )
 
@@ -42,9 +44,12 @@ func extractAll(t *testing.T, snap *playstore.Snapshot) []indexedReport {
 	return out
 }
 
-func ingestSharded(t *testing.T, label string, reports []indexedReport, shardCount, workers int) *Corpus {
+// ingestSharded feeds reports, in slice order, to workers goroutines that
+// ingest them through cache into one ShardedCorpus presized for presize
+// apps.
+func ingestSharded(t *testing.T, reports []indexedReport, presize, workers int, keepGraphs bool, cache *UniqueCache) *Corpus {
 	t.Helper()
-	s := NewShardedCorpus(label, false, shardCount, nil)
+	s := NewShardedCorpus("sharded", keepGraphs, presize, cache)
 	var wg sync.WaitGroup
 	jobs := make(chan indexedReport)
 	errs := make(chan error, workers)
@@ -94,40 +99,88 @@ func corpusFingerprint(c *Corpus) (records []Record, apps []string, uniques []st
 func TestShardedMergeMatchesSequentialIngest(t *testing.T) {
 	st := study(t)
 	reports := extractAll(t, st.Snap21)
+	// The reference is one worker ingesting in index order. The layouts
+	// share its cache, which retains graphs for the KeepGraphs layout, so
+	// they differ only in how they fill the slots.
+	cache := NewUniqueCache(true)
+	seq := ingestSharded(t, reports, 0, 1, false, cache)
 
-	seq := NewCorpus("seq", false)
+	// Twins ship one checksum under several frameworks; each must keep
+	// its first record's framework in index order.
+	firstFramework := map[graph.Checksum]string{}
+	twins := map[graph.Checksum]bool{}
 	for _, ir := range reports {
 		if ir.rep == nil {
-			seq.AddApp(ir.info)
 			continue
 		}
-		if err := seq.AddReport(context.Background(), ir.category, ir.rep); err != nil {
-			t.Fatal(err)
+		for _, m := range ir.rep.Models {
+			if fw, ok := firstFramework[m.Checksum]; !ok {
+				firstFramework[m.Checksum] = m.Framework
+			} else if fw != m.Framework {
+				twins[m.Checksum] = true
+			}
 		}
 	}
-	seqRec, seqApps, seqUniq, seqInst := corpusFingerprint(seq)
+	if len(twins) == 0 {
+		t.Fatal("fixture ships no checksum under two frameworks")
+	}
 
-	for _, layout := range []struct{ shards, workers int }{
-		{1, 1}, {4, 4}, {8, 3}, {3, 8},
+	reversed := slices.Clone(reports)
+	slices.Reverse(reversed)
+	// A quarantined app leaves its index unfilled.
+	var gapped []indexedReport
+	for _, ir := range reports {
+		if ir.idx%7 != 6 {
+			gapped = append(gapped, ir)
+		}
+	}
+	seqGapped := ingestSharded(t, gapped, 0, 1, false, cache)
+
+	for _, layout := range []struct {
+		name             string
+		reports          []indexedReport
+		want             *Corpus
+		presize, workers int
+		keepGraphs       bool
+	}{
+		{"presized, 4 workers", reports, seq, len(reports), 4, false},
+		{"unsized, 3 workers", reports, seq, 0, 3, false},
+		{"undersized, 8 workers", reports, seq, 8, 8, false},
+		{"reverse index order", reversed, seq, 0, 1, false},
+		{"every 7th index never ingested", gapped, seqGapped, len(reports), 4, false},
+		{"KeepGraphs", reports, seq, len(reports), 4, true},
 	} {
-		merged := ingestSharded(t, "sharded", reports, layout.shards, layout.workers)
+		merged := ingestSharded(t, layout.reports, layout.presize, layout.workers, layout.keepGraphs, cache)
+		wRec, wApps, wUniq, wInst := corpusFingerprint(layout.want)
 		mRec, mApps, mUniq, mInst := corpusFingerprint(merged)
-		if !reflect.DeepEqual(seqRec, mRec) {
-			t.Fatalf("shards=%d workers=%d: record stream diverges", layout.shards, layout.workers)
+		if !reflect.DeepEqual(wRec, mRec) {
+			t.Fatalf("%s: record stream diverges", layout.name)
 		}
-		if !reflect.DeepEqual(seqApps, mApps) {
-			t.Fatalf("shards=%d workers=%d: app order diverges", layout.shards, layout.workers)
+		if !reflect.DeepEqual(wApps, mApps) {
+			t.Fatalf("%s: app order diverges", layout.name)
 		}
-		if !reflect.DeepEqual(seqUniq, mUniq) || !reflect.DeepEqual(seqInst, mInst) {
-			t.Fatalf("shards=%d workers=%d: uniques diverge", layout.shards, layout.workers)
+		if !reflect.DeepEqual(wUniq, mUniq) || !reflect.DeepEqual(wInst, mInst) {
+			t.Fatalf("%s: uniques diverge", layout.name)
 		}
-		if got, want := merged.InstancesSharedAcrossApps(), seq.InstancesSharedAcrossApps(); got != want {
-			t.Fatalf("shards=%d workers=%d: shared fraction %v != %v", layout.shards, layout.workers, got, want)
+		if got, want := merged.InstancesSharedAcrossApps(), layout.want.InstancesSharedAcrossApps(); got != want {
+			t.Fatalf("%s: shared fraction %v != %v", layout.name, got, want)
 		}
-		got, want := merged.Dataset(), seq.Dataset()
-		got.Label, want.Label = "", ""
+		got, want := merged.Dataset(), layout.want.Dataset()
 		if got != want {
-			t.Fatalf("shards=%d workers=%d: dataset %+v != %+v", layout.shards, layout.workers, got, want)
+			t.Fatalf("%s: dataset %+v != %+v", layout.name, got, want)
+		}
+		for _, u := range merged.Uniques {
+			if (u.Graph != nil) != layout.keepGraphs {
+				t.Fatalf("%s: unique %s carries graph %v", layout.name, u.Checksum, u.Graph != nil)
+			}
+		}
+		if layout.want != seq {
+			continue
+		}
+		for sum := range twins {
+			if got, want := merged.Uniques[sum].Framework, firstFramework[sum]; got != want {
+				t.Fatalf("%s: twin %s has framework %s, want its first record's %s", layout.name, sum, got, want)
+			}
 		}
 	}
 }
@@ -176,19 +229,20 @@ func TestSharedCacheSkipsCrossCorpusRecompute(t *testing.T) {
 	st := study(t)
 	reports := extractAll(t, st.Snap21)
 	cache := NewUniqueCache(false)
-	a := NewCorpusWithCache("a", false, cache)
-	b := NewCorpusWithCache("b", false, cache)
+	sa := NewShardedCorpus("a", false, len(reports), cache)
+	sb := NewShardedCorpus("b", false, len(reports), cache)
 	for _, ir := range reports {
 		if ir.rep == nil {
 			continue
 		}
-		if err := a.AddReport(context.Background(), ir.category, ir.rep); err != nil {
+		if err := sa.AddReport(context.Background(), ir.idx, ir.category, ir.rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddReport(context.Background(), ir.category, ir.rep); err != nil {
+		if err := sb.AddReport(context.Background(), ir.idx, ir.category, ir.rep); err != nil {
 			t.Fatal(err)
 		}
 	}
+	a, b := sa.Merge(), sb.Merge()
 	if a.UniqueModels() != b.UniqueModels() {
 		t.Fatalf("corpora diverge: %d vs %d uniques", a.UniqueModels(), b.UniqueModels())
 	}

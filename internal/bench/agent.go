@@ -10,7 +10,6 @@ import (
 
 	"github.com/gaugenn/gaugenn/internal/mlrt"
 	"github.com/gaugenn/gaugenn/internal/nn/formats"
-	"github.com/gaugenn/gaugenn/internal/nn/graph"
 	"github.com/gaugenn/gaugenn/internal/power"
 	"github.com/gaugenn/gaugenn/internal/soc"
 )
@@ -283,8 +282,10 @@ func (a *Agent) executeJob(job Job) JobResult {
 		res.Error = err.Error()
 		return res
 	}
-	tfl, _ := formats.ByName("tflite")
-	g, err := decodeAnyFormat(job.Model, tfl)
+	g, ok, err := formats.DecodeFile(job.Model)
+	if err == nil && !ok {
+		err = fmt.Errorf("bench: model bytes match no registered format")
+	}
 	if err != nil {
 		return fail(err)
 	}
@@ -349,23 +350,4 @@ func (a *Agent) executeJob(job Job) JobResult {
 		res.AvgPowerW = res.MeanEnergymJ() / 1000 / res.MeanLatency().Seconds()
 	}
 	return res
-}
-
-// decodeAnyFormat decodes single-file model bytes, trying the preferred
-// format first and then every registered one (the harness ships tflite by
-// convention, with dlc for SNPE targets — the paper converts caffe and
-// TFLite models through the SNPE converter).
-func decodeAnyFormat(data []byte, preferred formats.Format) (*graph.Graph, error) {
-	try := func(f formats.Format) (*graph.Graph, error) {
-		return f.Decode(formats.FileSet{"model" + f.Extensions()[0]: data})
-	}
-	if preferred != nil && preferred.Sniff(data) {
-		return try(preferred)
-	}
-	for _, f := range formats.All() {
-		if f.Sniff(data) {
-			return try(f)
-		}
-	}
-	return nil, fmt.Errorf("bench: model bytes match no registered format")
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -61,11 +60,11 @@ func StudyID(cfg Config) string {
 }
 
 // studyEngine runs one study through the staged pipeline — retrieval
-// (crawl or package, report-cache aware), analysis (sharded ingest through
-// the shared per-checksum cache) and persistence (write-through records
-// plus end-of-snapshot corpus snapshots and a manifest append). Without a
-// CacheDir the persist stage disappears and the engine degrades to the
-// purely in-memory pipeline.
+// (crawl or package, report-cache aware), analysis (ingest by crawl index
+// through the shared per-checksum cache) and persistence (write-through
+// records plus end-of-snapshot corpus snapshots and a manifest append).
+// Without a CacheDir the persist stage disappears and the engine degrades
+// to the purely in-memory pipeline.
 type studyEngine struct {
 	cfg   Config
 	st    *store.Store // nil without CacheDir
@@ -340,8 +339,7 @@ func (e *studyEngine) persistCorpus(ctx context.Context, label string, c *analys
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(blob)
-	key := store.HexKey(sum[:])
+	key := store.ContentKey(blob)
 	if err := e.st.Put(store.KindCorpus, key, blob); err != nil {
 		return "", err
 	}
@@ -478,21 +476,24 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 // runSnapshot crawls one snapshot into its corpus. Both app sources list
 // the same apps in the same order (each category's top
 // playstore.ChartDepth in rank order, categories in store order), so an
-// app's position in the listing is its global index: shard contents do
-// not depend on scheduling, and the two sources produce byte-identical
-// corpora. Over HTTP each app is downloaded, delivery-checked and
-// extracted. In process, apps without an ML signal skip extraction, and
-// with a store the snapshot's apk record serves apps an earlier run of
-// this study packaged, without building or hashing them again.
+// app's position in the listing is its global index, the corpus slot it
+// lands in: the corpus does not depend on scheduling, and the two sources
+// produce byte-identical corpora. Over HTTP each app is downloaded,
+// delivery-checked and extracted. In process, apps without an ML signal
+// skip extraction, and with a store the snapshot's apk record serves apps
+// an earlier run of this study packaged, without building or hashing them
+// again.
 func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot, label string) (*analysis.Corpus, error) {
 	cfg := e.cfg
 	workers := cfg.workerCount()
-	shards := analysis.NewShardedCorpus(label, cfg.KeepGraphs, workers, e.cache)
-	// ingest adds one app's report to its shard and writes a cold report
-	// through. Errors carry stage attribution so a cancelled or failed run
-	// names the layer that observed it.
+	// corpus is created once the listing is known, before any app is
+	// visited.
+	var corpus *analysis.ShardedCorpus
+	// ingest adds one app's report to the slot of its index and writes a
+	// cold report through. Errors carry stage attribution so a cancelled
+	// or failed run names the layer that observed it.
 	ingest := func(ctx context.Context, idx int, category string, rep *extract.Report, key string, warm bool) error {
-		if err := shards.AddReport(ctx, idx, category, rep); err != nil {
+		if err := corpus.AddReport(ctx, idx, category, rep); err != nil {
 			return errs.Stage("analyse", label, err)
 		}
 		if !warm {
@@ -566,7 +567,7 @@ func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot,
 		visit = func(ctx context.Context, idx int) error {
 			a := apps[idx]
 			if !needsExtraction(a) {
-				shards.AddApp(idx, analysis.AppInfo{Package: a.Package, Category: string(a.Category)})
+				corpus.AddApp(idx, analysis.AppInfo{Package: a.Package, Category: string(a.Category)})
 				return nil
 			}
 			recipe := memo.recipe(snap, a)
@@ -591,6 +592,7 @@ func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot,
 	}
 
 	total := len(pkgs)
+	corpus = analysis.NewShardedCorpus(label, cfg.KeepGraphs, total, e.cache)
 	failures := e.newFailures(label, total)
 	crawl, analyse := e.newStage("crawl", label), e.newStage("analyse", label)
 	crawl.start(total)
@@ -632,5 +634,5 @@ func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot,
 	if err := memo.persist(); err != nil {
 		return nil, errs.Stage("persist", label, err)
 	}
-	return shards.Merge(), nil
+	return corpus.Merge(), nil
 }

@@ -4,11 +4,12 @@
 // It is the library's primary entry point; the root gaugenn package
 // re-exports it.
 //
-// The study hot path is a concurrent, sharded pipeline: both snapshots run
-// in parallel, each over a bounded crawl/extract worker pool feeding
-// per-shard corpora that merge deterministically, with per-checksum
-// analysis deduplicated across shards and snapshots. See docs/pipeline.md
-// for the architecture and the Workers/Scale tuning knobs.
+// The study hot path is a concurrent pipeline: both snapshots run in
+// parallel, each over a bounded crawl/extract worker pool that ingests
+// every app into the corpus slot of its crawl index, so the merged corpus
+// does not depend on scheduling, with per-checksum analysis deduplicated
+// across workers and snapshots. See docs/pipeline.md for the architecture
+// and the Workers/Scale tuning knobs.
 package core
 
 import (

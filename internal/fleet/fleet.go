@@ -65,17 +65,15 @@ func (ms *ModelSpec) graphOrDecode() (*graph.Graph, error) {
 	if ms.Graph != nil {
 		return ms.Graph, nil
 	}
-	for _, f := range formats.All() {
-		if f.Sniff(ms.Data) {
-			g, err := f.Decode(formats.FileSet{"model" + f.Extensions()[0]: ms.Data})
-			if err != nil {
-				return nil, err
-			}
-			ms.Graph = g
-			return g, nil
-		}
+	g, ok, err := formats.DecodeFile(ms.Data)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("fleet: model %s matches no registered format", ms.Name)
+	if !ok {
+		return nil, fmt.Errorf("fleet: model %s matches no registered format", ms.Name)
+	}
+	ms.Graph = g
+	return g, nil
 }
 
 // Matrix is the benchmark matrix spec the scheduler expands: every model

@@ -17,7 +17,6 @@ package fsck
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -145,11 +144,7 @@ func checkKind(dir, kind string, opts Options, res *Result) error {
 func validateBlob(kind, key string, data []byte) error {
 	switch kind {
 	case store.KindCorpus:
-		sum := sha256.Sum256(data)
-		if store.HexKey(sum[:]) != key {
-			return fmt.Errorf("content hash %s does not match key", store.HexKey(sum[:])[:12])
-		}
-		return nil
+		return store.CheckContent(kind, key, data)
 	case store.KindGraph:
 		g, err := graph.DecodeBinary(data)
 		if err != nil {

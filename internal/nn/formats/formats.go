@@ -98,6 +98,20 @@ func Names() []string {
 	return append([]string(nil), order...)
 }
 
+// DecodeFile decodes the bytes of a single-file model with the first
+// registered format whose Sniff accepts them: when two formats' sniffs
+// accept the same bytes, the one registered first wins. ok is false when
+// no format accepts them; err is the accepting format's decode error.
+func DecodeFile(data []byte) (g *graph.Graph, ok bool, err error) {
+	for _, f := range All() {
+		if f.Sniff(data) {
+			g, err := f.Decode(FileSet{"model" + f.Extensions()[0]: data})
+			return g, true, err
+		}
+	}
+	return nil, false, nil
+}
+
 // Identify runs the validation step of Section 3.1: the file name must
 // carry an extension some framework claims, and the payload must pass that
 // framework's signature sniff. Generic extensions (.pb, .bin) are claimed

@@ -97,28 +97,42 @@ func TestRoundTripAllFormats(t *testing.T) {
 	}
 }
 
+// TestSniffDistinguishesFormats: every file of every registered format's
+// encoding of every zoo task (model seeds 1, 3 and 7) is sniffed by that
+// format and no other, so the order in which DecodeFile tries formats
+// decides nothing for them, and each single-file encoding decodes back to
+// its model through DecodeFile.
 func TestSniffDistinguishesFormats(t *testing.T) {
-	g := buildSample(t, zoo.TaskFaceDetection, 7)
-	// Each format's primary file must sniff true for itself and false for
-	// every other format.
-	for _, f := range All() {
-		files, err := f.Encode(g, "m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range files {
-			if !f.Sniff(data) {
-				t.Errorf("%s does not sniff its own file %s", f.Name(), name)
-			}
-			for _, other := range All() {
-				if other.Name() == f.Name() {
-					continue
+	for _, task := range zoo.AllTasks() {
+		for _, seed := range []int64{1, 3, 7} {
+			g := buildSample(t, task, seed)
+			for _, f := range All() {
+				files, err := f.Encode(g, "m")
+				if err != nil {
+					t.Fatal(err)
 				}
-				if other.Sniff(data) {
-					t.Errorf("%s sniffs %s's file %s", other.Name(), f.Name(), name)
+				for name, data := range files {
+					if !f.Sniff(data) {
+						t.Errorf("%s seed %d: %s does not sniff its own file %s", task, seed, f.Name(), name)
+					}
+					for _, other := range All() {
+						if other.Name() != f.Name() && other.Sniff(data) {
+							t.Errorf("%s seed %d: %s sniffs %s's file %s", task, seed, other.Name(), f.Name(), name)
+						}
+					}
+					if len(files) > 1 {
+						continue
+					}
+					got, ok, err := DecodeFile(data)
+					if err != nil || !ok || graph.ModelChecksum(got) != graph.ModelChecksum(g) {
+						t.Errorf("%s seed %d: DecodeFile(%s's %s): ok=%v err=%v", task, seed, f.Name(), name, ok, err)
+					}
 				}
 			}
 		}
+	}
+	if _, ok, err := DecodeFile([]byte("no model here")); ok || err != nil {
+		t.Fatalf("DecodeFile(garbage): ok=%v err=%v, want no format", ok, err)
 	}
 }
 

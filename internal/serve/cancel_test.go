@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
@@ -39,65 +40,92 @@ func TestServeRequestContextHonoured(t *testing.T) {
 	}
 }
 
-// TestServeCorruptCorpusSurfacesSentinel: a torn corpus blob maps to a
-// 500 tagged "store corrupt", and the loader's error matches the public
+// TestServeCorruptCorpusSurfacesSentinel: a corrupt corpus blob maps to
+// a 500 tagged "store corrupt", and the loader's error matches the public
 // sentinel. With the snapshot's index blob gone too, every read that
 // needs the snapshot — study detail (self-heal rebuild), diff and tables
-// — fails that way, and no error response carries cache validators.
+// — fails that way, and no error response carries cache validators. Two
+// corruptions: a torn blob, and one hex digit of a unique's checksum
+// flipped, which still decodes as JSON.
 func TestServeCorruptCorpusSurfacesSentinel(t *testing.T) {
-	st, id, res := persistedStudy(t)
-	// Corpus blobs are content-keyed (write-once in Put), so the blob is
-	// truncated on disk rather than rewritten through the store.
-	key := res.Persist.CorpusKeys["2021"]
-	if key == "" {
-		t.Fatal("no corpus key")
-	}
-	corruptBlob(t, st, key)
-	if err := os.Remove(filepath.Join(st.Dir(), store.KindIndex, key[:2], key)); err != nil {
-		t.Fatal(err)
-	}
-	s := New(st)
-	_, err := s.corpus(context.Background(), key)
-	if !errors.Is(err, errs.ErrStoreCorrupt) {
-		t.Fatalf("corrupt blob error = %v, want ErrStoreCorrupt on the chain", err)
-	}
-	for _, tc := range []struct {
-		path   string
-		status int
+	for _, c := range []struct {
+		name   string
+		mangle func(t *testing.T, blob []byte) []byte
 	}{
-		{"/api/studies/" + id, 500},
-		{"/api/diff?from=" + id + "&to=" + id, 500},
-		{"/api/studies/" + id + "/tables", 500},
-		{"/api/models/00000000000000000000000000000000", 404},
+		{"truncated", func(_ *testing.T, blob []byte) []byte { return blob[:len(blob)/2] }},
+		{"unique checksum digit flipped", func(t *testing.T, blob []byte) []byte {
+			at := bytes.Index(blob, []byte(`"uniques":[{"checksum":"`))
+			if at < 0 {
+				t.Fatal("corpus blob has no uniques")
+			}
+			at += len(`"uniques":[{"checksum":"`)
+			out := bytes.Clone(blob)
+			if out[at] == '0' {
+				out[at] = '1'
+			} else {
+				out[at] = '0'
+			}
+			return out
+		}},
 	} {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
-		if rec.Code != tc.status {
-			t.Fatalf("GET %s = %d, want %d: %s", tc.path, rec.Code, tc.status, rec.Body.String())
-		}
-		if tc.status == 500 {
-			if !strings.Contains(rec.Body.String(), "store corrupt") {
-				t.Fatalf("GET %s body lacks \"store corrupt\": %s", tc.path, rec.Body.String())
+		t.Run(c.name, func(t *testing.T) {
+			st, id, res := persistedStudy(t)
+			// Corpus blobs are content-keyed (write-once in Put), so the
+			// blob is rewritten on disk rather than through the store.
+			key := res.Persist.CorpusKeys["2021"]
+			if key == "" {
+				t.Fatal("no corpus key")
 			}
-			if hint := rec.Header().Get("Gaugenn-Hint"); !strings.Contains(hint, "fsck") {
-				t.Fatalf("GET %s carries no fsck repair hint: %q", tc.path, hint)
+			corruptBlob(t, st, key, c.mangle)
+			if err := os.Remove(filepath.Join(st.Dir(), store.KindIndex, key[:2], key)); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// An error must not be stored or revalidated: a cache keeping it
-		// would outlive the repair (or the model's arrival).
-		if etag := rec.Header().Get("ETag"); etag != "" {
-			t.Fatalf("GET %s error response carries ETag %s", tc.path, etag)
-		}
-		if cc := rec.Header().Get("Cache-Control"); cc != "no-store" {
-			t.Fatalf("GET %s error response Cache-Control = %q, want no-store", tc.path, cc)
-		}
+			s := New(st)
+			_, err := s.corpus(context.Background(), key)
+			if !errors.Is(err, errs.ErrStoreCorrupt) {
+				t.Fatalf("corrupt blob error = %v, want ErrStoreCorrupt on the chain", err)
+			}
+			for _, tc := range []struct {
+				path   string
+				status int
+			}{
+				{"/api/studies/" + id, 500},
+				{"/api/diff?from=" + id + "&to=" + id, 500},
+				{"/api/studies/" + id + "/tables", 500},
+				{"/api/models/00000000000000000000000000000000", 404},
+			} {
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
+				if rec.Code != tc.status {
+					t.Fatalf("GET %s = %d, want %d: %s", tc.path, rec.Code, tc.status, rec.Body.String())
+				}
+				if tc.status == 500 {
+					if !strings.Contains(rec.Body.String(), "store corrupt") {
+						t.Fatalf("GET %s body lacks \"store corrupt\": %s", tc.path, rec.Body.String())
+					}
+					if hint := rec.Header().Get("Gaugenn-Hint"); !strings.Contains(hint, "fsck") {
+						t.Fatalf("GET %s carries no fsck repair hint: %q", tc.path, hint)
+					}
+				}
+				// An error must not be stored or revalidated: a cache
+				// keeping it would outlive the repair (or the model's
+				// arrival).
+				if etag := rec.Header().Get("ETag"); etag != "" {
+					t.Fatalf("GET %s error response carries ETag %s", tc.path, etag)
+				}
+				if cc := rec.Header().Get("Cache-Control"); cc != "no-store" {
+					t.Fatalf("GET %s error response Cache-Control = %q, want no-store", tc.path, cc)
+				}
+			}
+		})
 	}
 }
 
-// corruptBlob truncates a corpus blob in place on disk, bypassing the
-// store's write-once Put (which would refuse to overwrite a
-// content-keyed blob). The path mirrors the store's git-style sharding.
-func corruptBlob(t *testing.T, st *store.Store, key string) {
+// corruptBlob rewrites a corpus blob in place on disk with mangle's
+// output, bypassing the store's write-once Put (which would refuse to
+// overwrite a content-keyed blob). The path mirrors the store's git-style
+// sharding.
+func corruptBlob(t *testing.T, st *store.Store, key string, mangle func(*testing.T, []byte) []byte) {
 	t.Helper()
 	data, ok, err := st.Get(store.KindCorpus, key)
 	if err != nil || !ok {
@@ -107,7 +135,7 @@ func corruptBlob(t *testing.T, st *store.Store, key string) {
 		t.Fatal("blob too small to corrupt meaningfully")
 	}
 	path := filepath.Join(st.Dir(), store.KindCorpus, key[:2], key)
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(path, mangle(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,6 +19,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -30,6 +31,8 @@ import (
 	"time"
 
 	"errors"
+
+	"github.com/gaugenn/gaugenn/internal/errs"
 )
 
 // Blob kinds — each kind is one top-level CAS namespace (a directory).
@@ -134,6 +137,26 @@ func (s *Store) checkRef(kind, key string) error {
 // contract of docs/persistence.md).
 func contentKeyed(kind string) bool { return kind == KindCorpus }
 
+// ContentKey returns the key a content-keyed blob is stored under: the
+// hex sha256 of its bytes.
+func ContentKey(data []byte) string {
+	sum := sha256.Sum256(data)
+	return HexKey(sum[:])
+}
+
+// CheckContent verifies a blob read under (kind, key): a content-keyed
+// blob whose bytes do not hash to its key is store corruption, matching
+// errs.ErrStoreCorrupt. Every other kind passes.
+func CheckContent(kind, key string, data []byte) error {
+	if !contentKeyed(kind) {
+		return nil
+	}
+	if got := ContentKey(data); got != key {
+		return fmt.Errorf("content hash %s does not match key: %w", got[:12], errs.ErrStoreCorrupt)
+	}
+	return nil
+}
+
 // Put stores a blob under (kind, key). Writes are atomic (temp file +
 // rename), so readers never observe a partial blob; content-keyed kinds
 // skip existing blobs, derived-record kinds replace them.
@@ -154,7 +177,8 @@ func (s *Store) Put(kind, key string, data []byte) error {
 	return nil
 }
 
-// Get loads the blob under (kind, key); ok is false when it is absent.
+// Get loads the blob under (kind, key); ok is false when it is absent. A
+// content-keyed blob is checked against its key (CheckContent).
 func (s *Store) Get(kind, key string) (data []byte, ok bool, err error) {
 	if err := s.checkRef(kind, key); err != nil {
 		return nil, false, err
@@ -168,6 +192,9 @@ func (s *Store) Get(kind, key string) (data []byte, ok bool, err error) {
 		return nil, false, fmt.Errorf("store: reading %s/%s: %w", kind, key, err)
 	}
 	countKind(metGets, kind)
+	if err := CheckContent(kind, key, data); err != nil {
+		return nil, false, fmt.Errorf("store: %s/%s: %w", kind, key, err)
+	}
 	return data, true, nil
 }
 

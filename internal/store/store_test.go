@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"github.com/gaugenn/gaugenn/internal/errs"
 )
 
 func open(t *testing.T) *Store {
@@ -42,7 +45,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestPutContentKeyedSkipsExisting(t *testing.T) {
 	s := open(t)
-	key := HexKey([]byte{1, 2, 3, 4})
+	key := ContentKey([]byte("first"))
 	// Corpus keys are hashes of the blob's own bytes: an existing blob is
 	// byte-identical by construction, so Put must not rewrite it.
 	if err := s.Put(KindCorpus, key, []byte("first")); err != nil {
@@ -54,6 +57,25 @@ func TestPutContentKeyedSkipsExisting(t *testing.T) {
 	got, _, err := s.Get(KindCorpus, key)
 	if err != nil || string(got) != "first" {
 		t.Fatalf("content-keyed put rewrote: %q err=%v", got, err)
+	}
+}
+
+// TestGetChecksContentKey: a corpus blob whose bytes no longer hash to
+// its key (here, a put under a key that is not its hash) reads as store
+// corruption; a derived record under the same key is not checked.
+func TestGetChecksContentKey(t *testing.T) {
+	s := open(t)
+	key := ContentKey([]byte("original"))
+	for _, kind := range []string{KindCorpus, KindReport} {
+		if err := s.Put(kind, key, []byte("changed")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := s.Get(KindCorpus, key); ok || !errors.Is(err, errs.ErrStoreCorrupt) {
+		t.Fatalf("corpus blob not its key: ok=%v err=%v, want ErrStoreCorrupt", ok, err)
+	}
+	if got, ok, err := s.Get(KindReport, key); err != nil || !ok || string(got) != "changed" {
+		t.Fatalf("report: ok=%v err=%v data=%q", ok, err, got)
 	}
 }
 
@@ -108,7 +130,7 @@ func TestCount(t *testing.T) {
 
 func TestConcurrentPutsSameKey(t *testing.T) {
 	s := open(t)
-	key := HexKey([]byte{9, 9, 9, 9})
+	key := ContentKey([]byte("same bytes"))
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
