@@ -633,7 +633,7 @@ func BenchmarkAblation_Quantisation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data, err := core.EncodeTFLite(g)
+	data, err := formats.EncodeTFLite(g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -739,7 +739,7 @@ func BenchmarkAblation_CloudOffload(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data, err := core.EncodeTFLite(g)
+	data, err := formats.EncodeTFLite(g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -803,7 +803,7 @@ func BenchmarkAblation_HybridQuant(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := func(g *graph.Graph) bench.JobResult {
-			data, err := core.EncodeTFLite(g)
+			data, err := formats.EncodeTFLite(g)
 			if err != nil {
 				b.Fatal(err)
 			}

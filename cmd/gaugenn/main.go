@@ -519,7 +519,7 @@ func runBench(args []string) error {
 		if err != nil {
 			return err
 		}
-		if data, err = core.EncodeTFLite(g); err != nil {
+		if data, err = formats.EncodeTFLite(g); err != nil {
 			return err
 		}
 		name = *demo
@@ -599,9 +599,9 @@ func runExec(args []string) error {
 		if !ok {
 			return fmt.Errorf("no graph %s in %s (persisted by `gaugenn study -cache-dir`)", *checksum, *cacheDir)
 		}
-		g, err = graph.DecodeBinary(data)
-		if err != nil {
-			return err
+		if g, err = graph.DecodeStored(data, graph.Checksum(*checksum)); err != nil {
+			return fmt.Errorf("graph %s in %s: %w (audit and repair with `gaugenn fsck -cache-dir %s -fix`)",
+				*checksum, *cacheDir, err, *cacheDir)
 		}
 		name = *checksum
 	case *model != "":

@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path"
 	"regexp"
 	"strings"
 	"testing"
 
+	"github.com/gaugenn/gaugenn/internal/errs"
+	"github.com/gaugenn/gaugenn/internal/nn/graph"
+	"github.com/gaugenn/gaugenn/internal/nn/zoo"
 	"github.com/gaugenn/gaugenn/internal/obs"
+	"github.com/gaugenn/gaugenn/internal/store"
 )
 
 // TestMetricCatalogueCoversRegistry keeps docs/observability.md's metric
@@ -59,5 +64,43 @@ func TestMetricCatalogueCoversRegistry(t *testing.T) {
 	}
 	if families == 0 {
 		t.Fatal("the registry rendered no gaugenn_ families")
+	}
+}
+
+// TestExecChecksumRefusesCorruptBlob: `gaugenn exec -checksum` runs a
+// stored graph only when the blob is the model its key names. With one
+// weight bit flipped it fails with ErrStoreCorrupt and names fsck.
+func TestExecChecksumRefusesCorruptBlob(t *testing.T) {
+	g, err := zoo.Build(zoo.Spec{Task: zoo.TaskCrashDetection, Seed: 1, Opts: zoo.ArchOpts{Width: 0.25, TimeSteps: 4, Classes: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := string(graph.ModelChecksum(g))
+	blob := graph.EncodeBinary(g)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-cache-dir", dir, "-checksum", key, "-runs", "1", "-workers", "1"}
+	if err := st.Put(store.KindGraph, key, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := runExec(args); err != nil {
+		t.Fatalf("intact blob: %v", err)
+	}
+	var weight []byte
+	for i := range g.Layers {
+		if ws := g.Layers[i].Weights; weight == nil && len(ws) > 0 {
+			weight = ws[0].Data
+		}
+	}
+	blob[bytes.Index(blob, weight)] ^= 1
+	if err := st.Put(store.KindGraph, key, blob); err != nil {
+		t.Fatal(err)
+	}
+	err = runExec(args)
+	if !errors.Is(err, errs.ErrStoreCorrupt) || !strings.Contains(err.Error(), "gaugenn fsck") {
+		t.Fatalf("flipped weight bit: got %v, want ErrStoreCorrupt naming fsck", err)
 	}
 }

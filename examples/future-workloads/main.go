@@ -14,8 +14,8 @@ import (
 
 	"github.com/gaugenn/gaugenn/internal/bench"
 	"github.com/gaugenn/gaugenn/internal/cloudml"
-	"github.com/gaugenn/gaugenn/internal/core"
 	"github.com/gaugenn/gaugenn/internal/mlrt"
+	"github.com/gaugenn/gaugenn/internal/nn/formats"
 	"github.com/gaugenn/gaugenn/internal/nn/graph"
 	"github.com/gaugenn/gaugenn/internal/nn/zoo"
 	"github.com/gaugenn/gaugenn/internal/soc"
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	data, err := core.EncodeTFLite(det)
+	data, err := formats.EncodeTFLite(det)
 	if err != nil {
 		log.Fatal(err)
 	}

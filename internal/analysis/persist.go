@@ -118,19 +118,16 @@ func (uc *UniqueCache) loadAnalysisRecord(sum graph.Checksum) (*uniqueData, erro
 }
 
 // loadGraphBlob reads one checksum's decoded graph from the graph CAS.
-// The graph kind IS content-keyed (the key is the model checksum), so the
-// blob authenticates against its own key: a decodable-but-corrupted graph
-// is rejected here rather than silently benchmarked.
+// The key is the model checksum, so the blob authenticates against it
+// (graph.DecodeStored): a decodable-but-corrupted graph is rejected here
+// rather than silently benchmarked.
 func loadGraphBlob(st *store.Store, sum graph.Checksum) (*graph.Graph, bool) {
 	data, ok, err := st.Get(store.KindGraph, checksumKey(sum))
 	if err != nil || !ok {
 		return nil, false
 	}
-	g, err := graph.DecodeBinary(data)
-	if err != nil || graph.ModelChecksum(g) != sum {
-		return nil, false
-	}
-	return g, true
+	g, err := graph.DecodeStored(data, sum)
+	return g, err == nil
 }
 
 // persistAnalysisRecord writes one checksum's analysis through to the

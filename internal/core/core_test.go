@@ -255,17 +255,3 @@ func TestTemporalDiffRows(t *testing.T) {
 		t.Fatal("no churn rows")
 	}
 }
-
-func TestEncodeTFLite(t *testing.T) {
-	g, err := zoo.Build(zoo.Spec{Task: zoo.TaskFaceDetection, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EncodeTFLite(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) == 0 || string(b[4:8]) != "TFL3" {
-		t.Fatal("bad tflite bytes")
-	}
-}

@@ -1,28 +1,9 @@
 package core
 
-import (
-	"fmt"
-
-	"github.com/gaugenn/gaugenn/internal/analysis"
-	"github.com/gaugenn/gaugenn/internal/nn/formats"
-	"github.com/gaugenn/gaugenn/internal/nn/graph"
-)
+import "github.com/gaugenn/gaugenn/internal/analysis"
 
 // TemporalDiffRows computes the Figure 5 churn between a study's two
 // snapshots.
 func TemporalDiffRows(res *StudyResult) []analysis.ChurnRow {
 	return analysis.TemporalDiff(res.Corpus20, res.Corpus21)
-}
-
-// EncodeTFLite serialises a graph to tflite bytes for harness consumption.
-func EncodeTFLite(g *graph.Graph) ([]byte, error) {
-	f, ok := formats.ByName("tflite")
-	if !ok {
-		return nil, fmt.Errorf("core: tflite format not registered")
-	}
-	fs, err := f.Encode(g, "m")
-	if err != nil {
-		return nil, err
-	}
-	return fs["m.tflite"], nil
 }

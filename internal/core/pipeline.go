@@ -180,13 +180,12 @@ type BenchModel struct {
 // (e.g. absurd batch) surface later as job errors, matching the paper's
 // "models that successfully ran" framing.
 func SelectBenchModels(c *analysis.Corpus, n int) ([]BenchModel, error) {
-	tfl, _ := formats.ByName("tflite")
 	var out []BenchModel
 	for _, u := range c.SortedUniques() {
 		if u.Graph == nil {
 			continue
 		}
-		fs, err := tfl.Encode(u.Graph, "m")
+		data, err := formats.EncodeTFLite(u.Graph)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +194,7 @@ func SelectBenchModels(c *analysis.Corpus, n int) ([]BenchModel, error) {
 			Task:     u.Task,
 			Checksum: string(u.Checksum),
 			FLOPs:    u.Profile.FLOPs,
-			Bytes:    fs["m.tflite"],
+			Bytes:    data,
 		})
 		if n > 0 && len(out) >= n {
 			break

@@ -48,15 +48,11 @@ func ZooModel(spec zoo.Spec) (ModelSpec, error) {
 	if err != nil {
 		return ModelSpec{}, err
 	}
-	f, ok := formats.ByName("tflite")
-	if !ok {
-		return ModelSpec{}, fmt.Errorf("fleet: tflite format not registered")
-	}
-	fs, err := f.Encode(g, "m")
+	data, err := formats.EncodeTFLite(g)
 	if err != nil {
 		return ModelSpec{}, err
 	}
-	return ModelSpec{Name: g.Name, Data: fs["m.tflite"], Graph: g}, nil
+	return ModelSpec{Name: g.Name, Data: data, Graph: g}, nil
 }
 
 // graphOrDecode returns the spec's graph, decoding the model bytes when

@@ -146,14 +146,8 @@ func validateBlob(kind, key string, data []byte) error {
 	case store.KindCorpus:
 		return store.CheckContent(kind, key, data)
 	case store.KindGraph:
-		g, err := graph.DecodeBinary(data)
-		if err != nil {
-			return fmt.Errorf("graph does not decode: %v", err)
-		}
-		if string(graph.ModelChecksum(g)) != key {
-			return fmt.Errorf("decoded graph's checksum does not match key")
-		}
-		return nil
+		_, err := graph.DecodeStored(data, graph.Checksum(key))
+		return err
 	case store.KindAnalysis:
 		return analysis.ValidateAnalysisRecord(data)
 	case store.KindPayload:

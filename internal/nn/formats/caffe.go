@@ -70,22 +70,9 @@ func (Caffe) Encode(g *graph.Graph, stem string) (FileSet, error) {
 		fmt.Fprintf(&txt, "}\n")
 	}
 
-	var w bwriter
-	w.buf = append(w.buf, caffeModelMagic...)
-	var nWeights uint32
-	for i := range g.Layers {
-		nWeights += uint32(len(g.Layers[i].Weights))
-	}
-	w.u32(nWeights)
-	for i := range g.Layers {
-		for _, wt := range g.Layers[i].Weights {
-			w.str(g.Layers[i].Name)
-			writeWeight(&w, wt)
-		}
-	}
 	return FileSet{
 		stem + ".prototxt":   []byte(txt.String()),
-		stem + ".caffemodel": w.buf,
+		stem + ".caffemodel": encodeWeights(caffeModelMagic, g),
 	}, nil
 }
 
@@ -110,14 +97,11 @@ func (Caffe) Decode(files FileSet) (*graph.Graph, error) {
 		return nil, err
 	}
 	if weights != nil {
-		if err := attachCaffeWeights(g, weights); err != nil {
+		if err := attachWeights(g, caffeModelMagic, weights); err != nil {
 			return nil, err
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotValid, err)
-	}
-	return g, nil
+	return valid(g, nil)
 }
 
 func parsePrototxt(data []byte) (*graph.Graph, error) {
@@ -282,34 +266,6 @@ func unquote(s string) string {
 		return s[1 : len(s)-1]
 	}
 	return s
-}
-
-func attachCaffeWeights(g *graph.Graph, data []byte) error {
-	if !bytes.HasPrefix(data, []byte(caffeModelMagic)) {
-		return fmt.Errorf("%w: caffemodel magic missing", ErrNotValid)
-	}
-	r := &breader{buf: data, off: len(caffeModelMagic)}
-	n := int(r.u32())
-	if r.err != nil || n > 1<<20 {
-		return fmt.Errorf("%w: implausible weight count", ErrNotValid)
-	}
-	byName := map[string]*graph.Layer{}
-	for i := range g.Layers {
-		byName[g.Layers[i].Name] = &g.Layers[i]
-	}
-	for i := 0; i < n; i++ {
-		layerName := r.str()
-		wt := readWeight(r)
-		if r.err != nil {
-			return r.err
-		}
-		l, ok := byName[layerName]
-		if !ok {
-			return fmt.Errorf("%w: weights for unknown layer %q", ErrNotValid, layerName)
-		}
-		l.Weights = append(l.Weights, wt)
-	}
-	return nil
 }
 
 func init() { Register(Caffe{}) }

@@ -10,6 +10,13 @@
 // Formats self-register in an init-time registry, after gopacket's layer
 // registry pattern; Identify drives the signature-based validation step.
 //
+// The IR's binary layout lives in one place, internal/nn/graph's
+// BinWriter and BinReader. The binary containers (tflite, tf, onnx, snpe)
+// frame the graph body graph.EncodeBinary writes after its version byte;
+// caffe and ncnn pair a text definition with one named-weight file
+// (weightfile.go) in the same weight encoding. Decoded weights borrow the
+// file's bytes, and every decode error wraps ErrNotValid.
+//
 // The encodings are structurally analogous to the real formats, not
 // byte-compatible with them.
 package formats
@@ -110,6 +117,26 @@ func DecodeFile(data []byte) (g *graph.Graph, ok bool, err error) {
 		}
 	}
 	return nil, false, nil
+}
+
+// EncodeTFLite returns the bytes of g's .tflite file: the single-file
+// model the benchmark harness, fleet matrices and `gaugenn bench` run,
+// which DecodeFile reads back.
+func EncodeTFLite(g *graph.Graph) ([]byte, error) {
+	files, err := TFLite{}.Encode(g, "m")
+	return files["m.tflite"], err
+}
+
+// valid returns g when it was read without error and validates; either
+// failure wraps ErrNotValid.
+func valid(g *graph.Graph, err error) (*graph.Graph, error) {
+	if err == nil {
+		err = g.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotValid, err)
+	}
+	return g, nil
 }
 
 // Identify runs the validation step of Section 3.1: the file name must

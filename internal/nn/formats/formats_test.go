@@ -2,7 +2,9 @@ package formats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -53,47 +55,53 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	Register(TFLite{})
 }
 
+// TestRoundTripAllFormats: every format decodes its encoding of every zoo
+// task, in fp32 and post-training quantized, back to the same graph: the
+// decoded graph's EncodeBinary bytes equal the original's.
 func TestRoundTripAllFormats(t *testing.T) {
-	tasks := []zoo.Task{zoo.TaskObjectDetection, zoo.TaskAutoComplete, zoo.TaskSoundRecognition}
 	for _, f := range All() {
 		f := f
-		for _, task := range tasks {
+		for _, task := range zoo.AllTasks() {
 			t.Run(f.Name()+"/"+task.String(), func(t *testing.T) {
-				g := buildSample(t, task, int64(task)*3+1)
-				files, err := f.Encode(g, "m")
-				if err != nil {
-					t.Fatalf("encode: %v", err)
-				}
-				if len(files) == 0 {
-					t.Fatal("no files produced")
-				}
-				got, err := f.Decode(files)
-				if err != nil {
-					t.Fatalf("decode: %v", err)
-				}
-				if got.Name != g.Name {
-					t.Errorf("name %q != %q", got.Name, g.Name)
-				}
-				if graph.ModelChecksum(got) != graph.ModelChecksum(g) {
-					t.Error("round trip changed model checksum")
-				}
-				if len(got.Layers) != len(g.Layers) {
-					t.Errorf("layer count %d != %d", len(got.Layers), len(g.Layers))
-				}
-				// Profiles must agree: analysis runs on decoded graphs.
-				p1, err := graph.ProfileGraph(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p2, err := graph.ProfileGraph(got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p1.FLOPs != p2.FLOPs || p1.Params != p2.Params {
-					t.Errorf("profile mismatch: %d/%d vs %d/%d", p1.FLOPs, p1.Params, p2.FLOPs, p2.Params)
+				for _, quantized := range []bool{false, true} {
+					g, err := zoo.Build(zoo.Spec{Task: task, Seed: int64(task)*3 + 1, Hinted: true, Quantized: quantized})
+					if err != nil {
+						t.Fatal(err)
+					}
+					files, err := f.Encode(g, "m")
+					if err != nil {
+						t.Fatalf("encode: %v", err)
+					}
+					got, err := f.Decode(files)
+					if err != nil {
+						t.Fatalf("decode: %v", err)
+					}
+					if !bytes.Equal(graph.EncodeBinary(got), graph.EncodeBinary(g)) {
+						t.Errorf("quantized=%v: round trip changed the graph", quantized)
+					}
 				}
 			})
 		}
+	}
+}
+
+// TestEncodeTFLite: the one .tflite encoding carries TFL3 at offset 4 and
+// decodes back through DecodeFile.
+func TestEncodeTFLite(t *testing.T) {
+	g := buildSample(t, zoo.TaskFaceDetection, 1)
+	data, err := EncodeTFLite(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 8 || string(data[4:8]) != "TFL3" {
+		t.Fatal("bad tflite bytes")
+	}
+	got, ok, err := DecodeFile(data)
+	if err != nil || !ok || !bytes.Equal(graph.EncodeBinary(got), graph.EncodeBinary(g)) {
+		t.Fatalf("DecodeFile(EncodeTFLite(g)): ok=%v err=%v, or a different graph", ok, err)
+	}
+	if _, err := EncodeTFLite(&graph.Graph{Name: "empty"}); err == nil {
+		t.Fatal("an invalid graph must not encode")
 	}
 }
 
@@ -180,8 +188,13 @@ func TestIdentifyRejectsEncrypted(t *testing.T) {
 	}
 }
 
+// binaryContainers frame the graph body EncodeBinary writes after its
+// version byte.
+var binaryContainers = map[string]bool{"tflite": true, "tf": true, "onnx": true, "snpe": true}
+
 func TestDecodeErrors(t *testing.T) {
 	g := buildSample(t, zoo.TaskNudityDetection, 13)
+	body := graph.EncodeBinary(g)[1:]
 	for _, f := range All() {
 		f := f
 		t.Run(f.Name(), func(t *testing.T) {
@@ -189,10 +202,13 @@ func TestDecodeErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Empty set.
-			if _, err := f.Decode(FileSet{}); err == nil {
-				t.Error("empty file set should fail")
+			mustReject := func(what string, fs FileSet) {
+				t.Helper()
+				if _, err := f.Decode(fs); !errors.Is(err, ErrNotValid) {
+					t.Errorf("%s: got %v, want ErrNotValid", what, err)
+				}
 			}
+			mustReject("empty file set", FileSet{})
 			// Truncation of every file must produce ErrNotValid (not panic).
 			// Text files (.prototxt/.param) tolerate losing a trailing
 			// newline, so the one-byte cut only applies to binary files.
@@ -205,21 +221,36 @@ func TestDecodeErrors(t *testing.T) {
 					if cut >= len(data) {
 						continue
 					}
-					trunc := FileSet{}
-					for n2, d2 := range files {
-						if n2 == name {
-							trunc[n2] = d2[:cut]
-						} else {
-							trunc[n2] = d2
-						}
-					}
-					if _, err := f.Decode(trunc); err == nil {
-						t.Errorf("truncating %s to %d bytes should fail", name, cut)
-					}
+					mustReject(fmt.Sprintf("%s cut to %d bytes", name, cut), withFile(files, name, data[:cut]))
 				}
 			}
+			if !binaryContainers[f.Name()] {
+				return
+			}
+			// A byte added inside the length-prefixed body, its length
+			// grown to match: the body no longer fills its length exactly.
+			name := "m" + f.Extensions()[0]
+			data := files[name]
+			at := bytes.Index(data, body)
+			if at < 4 {
+				t.Fatalf("%s does not frame EncodeBinary's body", name)
+			}
+			padded := append(append([]byte(nil), data[:at+len(body)]...), 0)
+			padded = append(padded, data[at+len(body):]...)
+			binary.LittleEndian.PutUint32(padded[at-4:], uint32(len(body)+1))
+			mustReject(name+" with a byte added to its body", withFile(files, name, padded))
 		})
 	}
+}
+
+// withFile returns a copy of files with name's contents replaced.
+func withFile(files FileSet, name string, data []byte) FileSet {
+	out := FileSet{}
+	for n, d := range files {
+		out[n] = d
+	}
+	out[name] = data
+	return out
 }
 
 func TestDecodeErrorIsErrNotValid(t *testing.T) {

@@ -33,14 +33,12 @@ func (f tlvFormat) Encode(g *graph.Graph, stem string) (FileSet, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: refusing to encode invalid graph: %w", f.name, err)
 	}
-	var w bwriter
-	w.buf = append(w.buf, f.magic...)
-	w.u32(f.version)
-	w.str(f.producer)
-	var body bwriter
-	writeGraphBody(&body, g)
-	w.bytes(body.buf)
-	return FileSet{stem + f.exts[0]: w.buf}, nil
+	w := graph.NewBinWriter(g, len(f.magic)+8+len(f.producer))
+	w.Buf = append(w.Buf, f.magic...)
+	w.U32(f.version)
+	w.Str(f.producer)
+	w.Graph(g)
+	return FileSet{stem + f.exts[0]: w.Buf}, nil
 }
 
 // Decode implements Format.
@@ -52,25 +50,15 @@ func (f tlvFormat) Decode(files FileSet) (*graph.Graph, error) {
 	if !bytes.HasPrefix(data, f.magic) {
 		return nil, fmt.Errorf("%w: %s magic missing", ErrNotValid, f.name)
 	}
-	r := &breader{buf: data, off: len(f.magic)}
-	if v := r.u32(); v != f.version {
+	r := graph.NewBinReader(data[len(f.magic):])
+	if v := r.U32(); v != f.version {
 		return nil, fmt.Errorf("%w: unsupported %s version %d", ErrNotValid, f.name, v)
 	}
-	if p := r.str(); p != f.producer {
+	if p := r.Str(); p != f.producer {
 		return nil, fmt.Errorf("%w: unexpected %s producer %q", ErrNotValid, f.name, p)
 	}
-	body := r.bytesv()
-	if r.err != nil {
-		return nil, r.err
-	}
-	g, err := readGraphBody(&breader{buf: body})
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotValid, err)
-	}
-	return g, nil
+	g := r.Graph()
+	return valid(g, r.Err())
 }
 
 // TF is the full TensorFlow frozen-graph format — a shrinking population in

@@ -73,22 +73,9 @@ func (NCNN) Encode(g *graph.Graph, stem string) (FileSet, error) {
 		txt.WriteString("\n")
 	}
 
-	var w bwriter
-	w.buf = append(w.buf, ncnnBinMagic...)
-	var n uint32
-	for i := range g.Layers {
-		n += uint32(len(g.Layers[i].Weights))
-	}
-	w.u32(n)
-	for i := range g.Layers {
-		for _, wt := range g.Layers[i].Weights {
-			w.str(g.Layers[i].Name)
-			writeWeight(&w, wt)
-		}
-	}
 	return FileSet{
 		stem + ".param": []byte(txt.String()),
-		stem + ".bin":   w.buf,
+		stem + ".bin":   encodeWeights(ncnnBinMagic, g),
 	}, nil
 }
 
@@ -111,14 +98,11 @@ func (NCNN) Decode(files FileSet) (*graph.Graph, error) {
 		return nil, err
 	}
 	if bin != nil {
-		if err := attachNCNNWeights(g, bin); err != nil {
+		if err := attachWeights(g, ncnnBinMagic, bin); err != nil {
 			return nil, err
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotValid, err)
-	}
-	return g, nil
+	return valid(g, nil)
 }
 
 func parseNCNNParam(data []byte) (*graph.Graph, error) {
@@ -218,34 +202,6 @@ func parseNCNNDirective(g *graph.Graph, line string) error {
 		} else {
 			g.Outputs = append(g.Outputs, t)
 		}
-	}
-	return nil
-}
-
-func attachNCNNWeights(g *graph.Graph, data []byte) error {
-	if !bytes.HasPrefix(data, []byte(ncnnBinMagic)) {
-		return fmt.Errorf("%w: ncnn bin magic missing", ErrNotValid)
-	}
-	r := &breader{buf: data, off: len(ncnnBinMagic)}
-	n := int(r.u32())
-	if r.err != nil || n > 1<<20 {
-		return fmt.Errorf("%w: implausible ncnn weight count", ErrNotValid)
-	}
-	byName := map[string]*graph.Layer{}
-	for i := range g.Layers {
-		byName[g.Layers[i].Name] = &g.Layers[i]
-	}
-	for i := 0; i < n; i++ {
-		layerName := r.str()
-		wt := readWeight(r)
-		if r.err != nil {
-			return r.err
-		}
-		l, ok := byName[layerName]
-		if !ok {
-			return fmt.Errorf("%w: ncnn weights for unknown layer %q", ErrNotValid, layerName)
-		}
-		l.Weights = append(l.Weights, wt)
 	}
 	return nil
 }

@@ -38,38 +38,31 @@ func (TFLite) Encode(g *graph.Graph, stem string) (FileSet, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("tflite: refusing to encode invalid graph: %w", err)
 	}
-	var w bwriter
-	// FlatBuffer-like header: root table offset placeholder, then the file
-	// identifier at offset 4.
-	w.u32(0x0000001c)
-	w.buf = append(w.buf, tfliteMagic...)
-	w.u32(3) // schema version
-
 	// Operator-code table: the distinct ops referenced by the model.
-	seen := map[graph.OpType]uint32{}
-	var codes []graph.OpType
+	seen := map[graph.OpType]bool{}
+	var codes []string
 	for i := range g.Layers {
-		op := g.Layers[i].Op
-		if _, ok := seen[op]; !ok {
-			seen[op] = uint32(len(codes))
-			codes = append(codes, op)
+		if op := g.Layers[i].Op; !seen[op] {
+			seen[op] = true
+			codes = append(codes, op.String())
 		}
 	}
-	w.u32(uint32(len(codes)))
-	for _, op := range codes {
-		w.str(op.String())
+	w := graph.NewBinWriter(g, 16+32*len(codes))
+	// FlatBuffer-like header: root table offset placeholder, then the file
+	// identifier at offset 4.
+	w.U32(0x0000001c)
+	w.Buf = append(w.Buf, tfliteMagic...)
+	w.U32(3) // schema version
+	w.U32(uint32(len(codes)))
+	for _, c := range codes {
+		w.Str(c)
 	}
-
-	// Subgraph section: a single subgraph carrying the IR body, with layer
-	// ops replaced by operator-code indices (resolved back on decode).
-	var body bwriter
-	writeGraphBody(&body, g)
-	w.bytes(body.buf)
-
+	// Subgraph section: a single subgraph carrying the IR body.
+	w.Graph(g)
 	// Trailing buffer count (real files keep weight buffers in a trailing
 	// section; ours embeds them in the body and records the count).
-	w.u32(uint32(len(g.Layers)))
-	return FileSet{stem + ".tflite": w.buf}, nil
+	w.U32(uint32(len(g.Layers)))
+	return FileSet{stem + ".tflite": w.Buf}, nil
 }
 
 // Decode implements Format.
@@ -78,41 +71,28 @@ func (f TFLite) Decode(files FileSet) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &breader{buf: data}
-	r.u32() // root offset
-	if len(data) < r.off+len(tfliteMagic) ||
-		string(data[r.off:r.off+len(tfliteMagic)]) != tfliteMagic {
+	head := tfliteMagicOffset + len(tfliteMagic)
+	if len(data) < head || string(data[tfliteMagicOffset:head]) != tfliteMagic {
 		return nil, fmt.Errorf("%w: missing TFL3 identifier", ErrNotValid)
 	}
-	r.off += len(tfliteMagic)
-	if v := r.u32(); v != 3 {
+	r := graph.NewBinReader(data[head:])
+	if v := r.U32(); v != 3 {
 		return nil, fmt.Errorf("%w: unsupported tflite schema version %d", ErrNotValid, v)
 	}
-	ncodes := int(r.u32())
-	if r.err != nil || ncodes > 1<<10 {
+	ncodes := int(r.U32())
+	if r.Err() != nil || ncodes > 1<<10 {
 		return nil, fmt.Errorf("%w: implausible opcode table", ErrNotValid)
 	}
 	for i := 0; i < ncodes; i++ {
-		if _, err := graph.ParseOp(r.str()); err != nil {
+		if _, err := graph.ParseOp(r.Str()); err != nil {
 			return nil, fmt.Errorf("%w: unknown opcode in table: %v", ErrNotValid, err)
 		}
 	}
-	body := r.bytesv()
-	nbuf := r.u32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	g, err := readGraphBody(&breader{buf: body})
-	if err != nil {
-		return nil, err
-	}
-	if int(nbuf) != len(g.Layers) {
+	g := r.Graph()
+	if nbuf := r.U32(); r.Err() == nil && int(nbuf) != len(g.Layers) {
 		return nil, fmt.Errorf("%w: buffer section declares %d buffers for %d layers", ErrNotValid, nbuf, len(g.Layers))
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotValid, err)
-	}
-	return g, nil
+	return valid(g, r.Err())
 }
 
 // singleFile extracts the lone payload from a single-file format's FileSet,

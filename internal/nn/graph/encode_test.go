@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
+
+	"github.com/gaugenn/gaugenn/internal/errs"
 )
 
 // fullGraph populates every field the binary codec must carry, including
@@ -100,5 +103,27 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeBinary(nil); err == nil {
 		t.Fatal("empty blob must not decode")
+	}
+	// No name, inputs or outputs, then 2^32-1 layers in no bytes.
+	if _, err := DecodeBinary([]byte{binCodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}); err == nil {
+		t.Fatal("a layer count the blob cannot hold must not decode")
+	}
+}
+
+// TestDecodeStoredHoldsBlobToKey: a graph blob decodes only under its own
+// model checksum; a flipped weight bit or a truncation is ErrStoreCorrupt.
+func TestDecodeStoredHoldsBlobToKey(t *testing.T) {
+	g := fullGraph()
+	key := ModelChecksum(g)
+	data := EncodeBinary(g)
+	if _, err := DecodeStored(data, key); err != nil {
+		t.Fatalf("intact blob: %v", err)
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)-1] ^= 1 // the last byte of the head layer's weight
+	for name, blob := range map[string][]byte{"flipped weight bit": flipped, "truncated": data[:len(data)/2]} {
+		if _, err := DecodeStored(blob, key); !errors.Is(err, errs.ErrStoreCorrupt) {
+			t.Errorf("%s: got %v, want ErrStoreCorrupt", name, err)
+		}
 	}
 }
