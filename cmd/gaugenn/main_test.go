@@ -76,7 +76,7 @@ func TestExecChecksumRefusesCorruptBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := string(graph.ModelChecksum(g))
-	blob := graph.EncodeBinary(g)
+	blob := graph.EncodeStored(g)
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {

@@ -118,7 +118,8 @@ func (uc *UniqueCache) loadAnalysisRecord(sum graph.Checksum) (*uniqueData, erro
 }
 
 // loadGraphBlob reads one checksum's decoded graph from the graph CAS.
-// The key is the model checksum, so the blob authenticates against it
+// The key is the model checksum, so the blob authenticates against it,
+// and its CRC-32 trailer covers the bytes the checksum does not
 // (graph.DecodeStored): a decodable-but-corrupted graph is rejected here
 // rather than silently benchmarked.
 func loadGraphBlob(st *store.Store, sum graph.Checksum) (*graph.Graph, bool) {
@@ -146,7 +147,7 @@ func (uc *UniqueCache) persistAnalysisRecord(sum graph.Checksum, d *uniqueData, 
 		return
 	}
 	if g != nil {
-		if err := uc.st.Put(store.KindGraph, checksumKey(sum), graph.EncodeBinary(g)); err != nil {
+		if err := uc.st.Put(store.KindGraph, checksumKey(sum), graph.EncodeStored(g)); err != nil {
 			uc.notePersistErr(err)
 			return
 		}

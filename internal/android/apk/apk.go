@@ -185,10 +185,11 @@ func storeUncompressed(name string) bool {
 // subslices of the buffer passed to Open. See Entry.Data for the aliasing
 // contract.
 type Reader struct {
-	data     []byte
-	zr       *zip.Reader
-	manifest Manifest
-	entries  []Entry
+	data        []byte
+	zr          *zip.Reader
+	manifest    Manifest
+	manifestRaw []byte
+	entries     []Entry
 }
 
 // Open parses APK bytes and its manifest. The Reader aliases data: the
@@ -218,11 +219,11 @@ func Open(data []byte) (*Reader, error) {
 		}
 		r.entries[i] = e
 	}
-	mdata, err := r.ReadFile(ManifestName)
+	r.manifestRaw, err = r.ReadFile(ManifestName)
 	if err != nil {
 		return nil, fmt.Errorf("apk: missing manifest: %w", err)
 	}
-	if r.manifest, err = ParseManifest(mdata); err != nil {
+	if r.manifest, err = ParseManifest(r.manifestRaw); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -230,6 +231,11 @@ func Open(data []byte) (*Reader, error) {
 
 // Manifest returns the parsed manifest.
 func (r *Reader) Manifest() Manifest { return r.manifest }
+
+// RawManifest returns the manifest bytes Open parsed, the first entry
+// named ManifestName, so that nothing needs to read that entry again. The
+// slice may alias the APK buffer and must be treated as read-only.
+func (r *Reader) RawManifest() []byte { return r.manifestRaw }
 
 // Names lists every entry in archive order.
 func (r *Reader) Names() []string {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"sync"
 
 	"github.com/gaugenn/gaugenn/internal/extract"
@@ -13,10 +14,11 @@ import (
 // apkMemo is one snapshot's apk store record, which lets an in-process
 // warm run skip packaging and hashing: it maps every APK recipe
 // (playstore.Snapshot.APKRecipe) an earlier completed run of the same
-// study packaged to the report key its APK hashed to. Lookups only
-// answer Resume runs; every run collects its own (recipe, key) pairs and
-// writes them back once the snapshot completes, if they changed. A nil
-// memo (no store) misses every lookup and records nothing.
+// study packaged to the report key its APK hashed to, and every recipe
+// whose packaging failed to the error's text. Lookups only answer Resume
+// runs; every run collects its own outcomes and writes them back once the
+// snapshot completes, if they changed. A nil memo (no store) misses every
+// lookup and records nothing.
 type apkMemo struct {
 	st   *store.Store
 	key  string
@@ -40,7 +42,7 @@ func (e *studyEngine) openAPKMemo(label string) *apkMemo {
 	if e.st == nil {
 		return nil
 	}
-	m := &apkMemo{st: e.st, key: apkRecordKey(StudyID(e.cfg), label), cur: extract.APKRecord{}}
+	m := &apkMemo{st: e.st, key: apkRecordKey(StudyID(e.cfg), label), cur: extract.NewAPKRecord()}
 	data, ok, err := e.st.Get(store.KindAPK, m.key)
 	if err != nil || !ok {
 		return m
@@ -67,7 +69,7 @@ func (m *apkMemo) lookup(recipe string) (string, bool) {
 	if m == nil {
 		return "", false
 	}
-	key, ok := m.old[recipe]
+	key, ok := m.old.Keys[recipe]
 	return key, ok
 }
 
@@ -93,8 +95,32 @@ func (m *apkMemo) record(recipe, key string) {
 		return
 	}
 	m.mu.Lock()
-	m.cur[recipe] = key
+	m.cur.Keys[recipe] = key
 	m.mu.Unlock()
+}
+
+// build packages recipe's APK with build, unless an earlier run recorded
+// that packaging it failed: BuildAPK is a pure function of the recipe, so
+// the recorded error's text is returned without building anything. A
+// failure, recorded or new, is noted for this run's record.
+func (m *apkMemo) build(recipe string, build func() ([]byte, error)) ([]byte, error) {
+	if m == nil {
+		return build()
+	}
+	msg, failed := m.old.Failed[recipe]
+	var data []byte
+	var err error
+	if failed {
+		err = errors.New(msg)
+	} else if data, err = build(); err != nil {
+		msg = err.Error()
+	}
+	if err != nil {
+		m.mu.Lock()
+		m.cur.Failed[recipe] = msg
+		m.mu.Unlock()
+	}
+	return data, err
 }
 
 // persist writes this run's record when it differs from the stored one.

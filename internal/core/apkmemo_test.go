@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -141,13 +143,13 @@ func TestAPKMemoFallsBackOnBadRecords(t *testing.T) {
 			// Rotate the report keys one recipe along: every entry still
 			// names a persisted, resolvable report, of the wrong app.
 			var recipes, keys []string
-			for r, k := range rec {
+			for r, k := range rec.Keys {
 				recipes = append(recipes, r)
 				keys = append(keys, k)
 			}
-			rotated := extract.APKRecord{}
+			rotated := extract.NewAPKRecord()
 			for i, r := range recipes {
-				rotated[r] = keys[(i+1)%len(keys)]
+				rotated.Keys[r] = keys[(i+1)%len(keys)]
 			}
 			out, err := extract.EncodeAPKRecord(rotated)
 			if err != nil {
@@ -197,5 +199,51 @@ func TestAPKMemoHTTPPathNeverReadsIt(t *testing.T) {
 	}
 	if res.Persist.Packaged == 0 {
 		t.Fatal("HTTP run counted no packaged APKs")
+	}
+}
+
+// TestAPKMemoReplaysPackagingFailure: a recipe whose packaging failed is
+// recorded with its error's text; a warm run fails it with the identical
+// text without building it, and leaves the record as it was.
+func TestAPKMemoReplaysPackagingFailure(t *testing.T) {
+	cfg := cachedConfig(t.TempDir(), false)
+	fs := &apkTraffic{FS: store.OSFS{}}
+	cfg.StoreFS = fs
+	e, err := newStudyEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing, packaged := strings.Repeat("ab", 32), strings.Repeat("cd", 32)
+	tooBig := errors.New("apk: base apk is 104857601 bytes, exceeds the 104857600 Play Store limit; ship assets via OBB or asset packs")
+	cold := e.openAPKMemo("2021")
+	if _, err := cold.build(failing, func() ([]byte, error) { return nil, tooBig }); err != tooBig {
+		t.Fatalf("cold build: %v, want the packaging error", err)
+	}
+	if data, err := cold.build(packaged, func() ([]byte, error) { return []byte("apk"), nil }); err != nil || string(data) != "apk" {
+		t.Fatalf("cold build of a packaging recipe: %q, %v", data, err)
+	}
+	cold.record(packaged, strings.Repeat("0", 32))
+	if err := cold.persist(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := e.openAPKMemo("2021")
+	if warm.prev == nil {
+		t.Fatal("the cold record was not persisted")
+	}
+	_, err = warm.build(failing, func() ([]byte, error) {
+		t.Fatal("the warm run built a recipe whose packaging failed")
+		return nil, nil
+	})
+	if err == nil || err.Error() != tooBig.Error() {
+		t.Fatalf("warm build: %v, want %q", err, tooBig)
+	}
+	warm.record(packaged, strings.Repeat("0", 32))
+	writes := fs.writes.Load()
+	if err := warm.persist(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.writes.Load() != writes {
+		t.Fatal("the warm run rewrote an unchanged record")
 	}
 }

@@ -241,17 +241,20 @@ func (sc *stageCounter) step() {
 }
 
 // loadReport resolves one APK's extraction report: from the persistent
-// store when resuming and these exact bytes were extracted before,
-// otherwise by running extraction. key is the report's store key (empty
-// without persistence); warm reports are already persisted, cold ones are
+// store when resuming and an APK with the same report key was extracted
+// before, otherwise by running extraction. The APK is opened once, and
+// each entry extraction reads is read and hashed once, for the key and the
+// payload keys alike. key is the report's store key (empty without
+// persistence); warm reports are already persisted, cold ones are
 // persisted by the caller after ingest so their models' analysis records
 // land first (see persistReport).
 func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *extract.Report, key string, warm bool, err error) {
+	pkg := extract.OpenAPK(apkBytes)
 	if e.st == nil {
-		rep, err = extract.ExtractAPKCached(ctx, apkBytes, e.cache)
+		rep, err = pkg.Extract(ctx, e.cache)
 		return rep, "", false, err
 	}
-	h := extract.HashAPK(apkBytes)
+	h := pkg.Key()
 	key = store.HexKey(h[:])
 	if e.cfg.Resume {
 		if rep, ok := e.warmReport(key); ok {
@@ -259,7 +262,7 @@ func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *ext
 			return rep, key, true, nil
 		}
 	}
-	rep, err = extract.ExtractAPKCached(ctx, apkBytes, e.cache)
+	rep, err = pkg.Extract(ctx, e.cache)
 	if err != nil {
 		return nil, "", false, err
 	}
@@ -482,7 +485,7 @@ func Run(ctx context.Context, cfg Config) (*StudyResult, error) {
 // delivery-checked and extracted. In process, apps without an ML signal
 // skip extraction, and with a store the snapshot's apk record serves apps
 // an earlier run of this study packaged, without building or hashing them
-// again.
+// again, and fails apps whose packaging failed, without building them.
 func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot, label string) (*analysis.Corpus, error) {
 	cfg := e.cfg
 	workers := cfg.workerCount()
@@ -578,7 +581,7 @@ func (e *studyEngine) runSnapshot(ctx context.Context, snap *playstore.Snapshot,
 					return err
 				}
 			} else {
-				apkBytes, err := snap.BuildAPK(a)
+				apkBytes, err := memo.build(recipe, func() ([]byte, error) { return snap.BuildAPK(a) })
 				if err != nil {
 					return errs.Stage("crawl", label, fmt.Errorf("core: packaging %s: %w", a.Package, err))
 				}

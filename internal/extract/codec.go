@@ -1,12 +1,9 @@
 package extract
 
 import (
-	"crypto/md5"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"github.com/gaugenn/gaugenn/internal/cloudml"
 	"github.com/gaugenn/gaugenn/internal/errs"
@@ -18,25 +15,11 @@ import (
 // any persisted field) changes; stored reports from other versions are
 // treated as cache misses and re-extracted, never migrated. Version 2
 // sealed the record (see store.SealJSON): report keys hash the APK, not
-// the report bytes, so the blob carries its own integrity digest.
+// the report bytes, so the blob carries its own integrity digest. The
+// report key's move from md5 over the whole APK to the sha256 entry walk
+// (APK.Key) left the layout as it was: an old report sits under a key no
+// new APK hashes to.
 const reportCodecVersion = 2
-
-// HashAPK content-hashes a whole app package — the persistence key for
-// extraction reports. Equal bytes imply an identical extraction outcome,
-// because extraction is a pure function of the package bytes. The hash is
-// domain-separated from model payload hashes (see HashPayload) so an APK
-// and a model file with equal bytes can never collide in the store.
-func HashAPK(apkBytes []byte) PayloadHash {
-	h := md5.New()
-	io.WriteString(h, "apk\x00")
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(apkBytes)))
-	h.Write(lenBuf[:])
-	h.Write(apkBytes)
-	var out PayloadHash
-	h.Sum(out[:0])
-	return out
-}
 
 // reportWire is the persisted form of a Report. Decoded graphs are
 // deliberately absent: a persisted model row carries only its checksum,
@@ -125,28 +108,45 @@ func DecodeReport(data []byte) (*Report, error) {
 
 // apkRecordCodecVersion versions the APK record wire layout; a record of
 // another version is corrupt to its reader, which rebuilds instead.
-const apkRecordCodecVersion = 1
+// Version 2 added failed packagings; it also retired the records that map
+// recipes to md5 report keys, which no report is stored under any more.
+const apkRecordCodecVersion = 2
 
-// APKRecord maps APK recipes (hex playstore.Snapshot.APKRecipe) to the
-// report key (hex HashAPK) of the APK each recipe packaged to. Core
-// keeps one per study snapshot under store.KindAPK, so a warm run loads
-// an app's report without building or hashing its APK.
-type APKRecord map[string]string
+// APKRecord is what packaging each APK recipe (hex
+// playstore.Snapshot.APKRecipe) of a study snapshot gave. Core keeps one
+// per study snapshot under store.KindAPK, so a warm run loads an app's
+// report without building or hashing its APK. BuildAPK is a pure function
+// of the recipe, so a recipe whose packaging failed fails again: a warm
+// run reports the recorded error instead of building the APK to see it.
+type APKRecord struct {
+	// Keys maps a recipe to the report key (hex APK.Key) of the APK it
+	// packaged to.
+	Keys map[string]string
+	// Failed maps a recipe whose packaging failed to the error's text.
+	Failed map[string]string
+}
+
+// NewAPKRecord returns an empty record.
+func NewAPKRecord() APKRecord {
+	return APKRecord{Keys: map[string]string{}, Failed: map[string]string{}}
+}
 
 type apkRecordWire struct {
-	V    int       `json:"v"`
-	APKs APKRecord `json:"apks"`
+	V      int               `json:"v"`
+	APKs   map[string]string `json:"apks"`
+	Failed map[string]string `json:"failed,omitempty"`
 }
 
 // EncodeAPKRecord seals a record for the store. Map keys marshal sorted,
 // so equal records encode to equal bytes.
 func EncodeAPKRecord(r APKRecord) ([]byte, error) {
-	return store.SealJSON(apkRecordWire{V: apkRecordCodecVersion, APKs: r})
+	return store.SealJSON(apkRecordWire{V: apkRecordCodecVersion, APKs: r.Keys, Failed: r.Failed})
 }
 
 // DecodeAPKRecord reverses EncodeAPKRecord. Every rejection — a broken
-// seal, another codec version, a malformed body or a key that is not a
-// lowercase hex digest of the right length — matches errs.ErrStoreCorrupt.
+// seal, another codec version, a malformed body, a key that is not a
+// lowercase hex digest of the right length, an empty error text or a
+// recipe both packaged and failed — matches errs.ErrStoreCorrupt.
 func DecodeAPKRecord(data []byte) (APKRecord, error) {
 	var w apkRecordWire
 	if err := store.OpenJSON(data, &w); err != nil {
@@ -155,20 +155,30 @@ func DecodeAPKRecord(data []byte) (APKRecord, error) {
 		if !errors.Is(err, errs.ErrStoreCorrupt) {
 			err = fmt.Errorf("%w: %v", errs.ErrStoreCorrupt, err)
 		}
-		return nil, fmt.Errorf("extract: decoding apk record: %w", err)
+		return APKRecord{}, fmt.Errorf("extract: decoding apk record: %w", err)
 	}
 	if w.V != apkRecordCodecVersion {
-		return nil, fmt.Errorf("extract: apk record codec version %d, want %d: %w", w.V, apkRecordCodecVersion, errs.ErrStoreCorrupt)
+		return APKRecord{}, fmt.Errorf("extract: apk record codec version %d, want %d: %w", w.V, apkRecordCodecVersion, errs.ErrStoreCorrupt)
 	}
 	for recipe, key := range w.APKs {
-		if !isHexDigest(recipe, sha256.Size) || !isHexDigest(key, md5.Size) {
-			return nil, fmt.Errorf("extract: apk record maps %.16q to %.16q, want hex digests: %w", recipe, key, errs.ErrStoreCorrupt)
+		if !isHexDigest(recipe, sha256.Size) || !isHexDigest(key, len(PayloadHash{})) {
+			return APKRecord{}, fmt.Errorf("extract: apk record maps %.16q to %.16q, want hex digests: %w", recipe, key, errs.ErrStoreCorrupt)
 		}
 	}
-	if w.APKs == nil {
-		w.APKs = APKRecord{}
+	for recipe, msg := range w.Failed {
+		_, packaged := w.APKs[recipe]
+		if !isHexDigest(recipe, sha256.Size) || msg == "" || packaged {
+			return APKRecord{}, fmt.Errorf("extract: apk record fails %.16q with %.16q, want a hex digest of an unpackaged recipe and an error: %w", recipe, msg, errs.ErrStoreCorrupt)
+		}
 	}
-	return w.APKs, nil
+	r := APKRecord{Keys: w.APKs, Failed: w.Failed}
+	if r.Keys == nil {
+		r.Keys = map[string]string{}
+	}
+	if r.Failed == nil {
+		r.Failed = map[string]string{}
+	}
+	return r, nil
 }
 
 // isHexDigest reports whether s is exactly n bytes in lowercase hex, the

@@ -122,40 +122,31 @@ func TestReportCodecVersionGate(t *testing.T) {
 	}
 }
 
-func TestHashAPKDomainSeparated(t *testing.T) {
-	data := []byte("identical bytes")
-	a := HashAPK(data)
-	b := HashAPK(append([]byte(nil), data...))
-	if a != b {
-		t.Fatal("HashAPK must be content-deterministic")
-	}
-	if a == HashAPK([]byte("different")) {
-		t.Fatal("distinct contents must hash apart")
-	}
-}
-
 // realAPKRecord builds the record a study run persists for a small
-// generated snapshot: each ML app's recipe mapped to its APK's HashAPK.
+// generated snapshot: three ML apps' recipes mapped to their APKs'
+// HashAPK, and a fourth recipe failed with the size check's message.
 func realAPKRecord(tb testing.TB) APKRecord {
 	tb.Helper()
 	study, err := playstore.GenerateStudy(playstore.DefaultConfig(5, 0.01))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rec := APKRecord{}
+	rec := NewAPKRecord()
 	for _, a := range study.Snap21.Apps {
 		if !a.HasML() {
 			continue
+		}
+		r := study.Snap21.APKRecipe(a)
+		if len(rec.Keys) == 3 {
+			rec.Failed[store.HexKey(r[:])] = "apk: base apk is 104857601 bytes, exceeds the 104857600 Play Store limit"
+			break
 		}
 		data, err := study.Snap21.BuildAPK(a)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		r, h := study.Snap21.APKRecipe(a), HashAPK(data)
-		rec[store.HexKey(r[:])] = store.HexKey(h[:])
-		if len(rec) == 3 {
-			break
-		}
+		h := HashAPK(data)
+		rec.Keys[store.HexKey(r[:])] = store.HexKey(h[:])
 	}
 	return rec
 }
@@ -180,11 +171,11 @@ func TestAPKRecordRoundTripByteStable(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("encode(decode(encode)) not byte-stable")
 	}
-	empty, err := EncodeAPKRecord(nil)
+	empty, err := EncodeAPKRecord(APKRecord{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := DecodeAPKRecord(empty); err != nil || len(got) != 0 {
+	if got, err := DecodeAPKRecord(empty); err != nil || !reflect.DeepEqual(got, NewAPKRecord()) {
 		t.Fatalf("empty record: %v, %v", got, err)
 	}
 }
@@ -195,19 +186,41 @@ func TestAPKRecordRejectsCorruptTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recipe string
-	for recipe = range rec {
+	var recipe, failed string
+	for recipe = range rec.Keys {
 		break
 	}
-	badKey, _ := store.SealJSON(apkRecordWire{V: apkRecordCodecVersion, APKs: APKRecord{recipe: "not-hex"}})
-	badRecipe, _ := store.SealJSON(apkRecordWire{V: apkRecordCodecVersion, APKs: APKRecord{"ABCD": rec[recipe]}})
-	oldVersion, _ := store.SealJSON(apkRecordWire{V: apkRecordCodecVersion + 1, APKs: rec})
-	wrongShape, _ := store.SealJSON(map[string]any{"v": apkRecordCodecVersion, "apks": 7})
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)/2] ^= 0x01
+	for failed = range rec.Failed {
+		break
+	}
+	seal := func(w apkRecordWire) []byte {
+		data, err := store.SealJSON(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	v := apkRecordCodecVersion
+	key := rec.Keys[recipe]
+	md5Key := seal(apkRecordWire{V: 1, APKs: map[string]string{recipe: key}})
+	wrongShape, err := store.SealJSON(map[string]any{"v": v, "apks": 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string][]byte{
-		"bit flip": flipped, "truncated": good[:len(good)-3], "empty": nil, "unsealed": []byte(`{"v":1,"apks":{}}`),
-		"bad report key": badKey, "bad recipe": badRecipe, "other version": oldVersion, "wrong shape": wrongShape,
+		"bit flip":        flipBit(good, len(good)/2),
+		"truncated":       good[:len(good)-3],
+		"empty":           nil,
+		"unsealed":        []byte(`{"v":2,"apks":{}}`),
+		"bad report key":  seal(apkRecordWire{V: v, APKs: map[string]string{recipe: "not-hex"}}),
+		"long report key": seal(apkRecordWire{V: v, APKs: map[string]string{recipe: key + key}}),
+		"bad recipe":      seal(apkRecordWire{V: v, APKs: map[string]string{"ABCD": key}}),
+		"bad failed":      seal(apkRecordWire{V: v, APKs: rec.Keys, Failed: map[string]string{"ABCD": "x"}}),
+		"empty failure":   seal(apkRecordWire{V: v, APKs: rec.Keys, Failed: map[string]string{failed: ""}}),
+		"packaged failed": seal(apkRecordWire{V: v, APKs: rec.Keys, Failed: map[string]string{recipe: "x"}}),
+		"other version":   seal(apkRecordWire{V: v + 1, APKs: rec.Keys}),
+		"version 1":       md5Key,
+		"wrong shape":     wrongShape,
 	} {
 		if _, err := DecodeAPKRecord(data); !errors.Is(err, errs.ErrStoreCorrupt) {
 			t.Errorf("%s: err = %v, want errs.ErrStoreCorrupt", name, err)

@@ -13,16 +13,16 @@
 // pass over raw dex strings and native symbol tables (internal/scan), and
 // candidate payloads are content-hashed *before* decoding so byte-identical
 // models already decoded elsewhere (the other snapshot, another shard)
-// skip graph decode entirely via the DecodeCache front door.
+// skip graph decode entirely via the DecodeCache front door. Every entry
+// read is hashed (sha256) at most once: the same digests key the APK's
+// report and each of its candidate file sets (see key.go).
 package extract
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/binary"
-	"fmt"
-	"io"
+	"crypto/sha256"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,10 +79,6 @@ type Report struct {
 // HasMLLibrary reports whether the app links any on-device ML framework.
 func (r *Report) HasMLLibrary() bool { return len(r.Frameworks) > 0 }
 
-// PayloadHash identifies a candidate file-set (format + file names +
-// bytes) before any decoding happens — the hash-before-decode key.
-type PayloadHash [md5.Size]byte
-
 // DecodeCache is the payload-hash front door extraction consults before
 // decoding a candidate file-set. Payload must be single-flight per hash:
 // the first caller's decode runs, concurrent and later callers of the same
@@ -94,32 +90,6 @@ type PayloadHash [md5.Size]byte
 // implements this.
 type DecodeCache interface {
 	Payload(ctx context.Context, h PayloadHash, decode func() (*graph.Graph, error)) (sum graph.Checksum, ok bool, err error)
-}
-
-// HashPayload computes the content identity of a candidate file-set for a
-// given format: equal hashes imply identical decode outcomes, because
-// Decode is a pure function of the (name, bytes) set and the format.
-func HashPayload(format string, set formats.FileSet) PayloadHash {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	h := md5.New()
-	var lenBuf [8]byte
-	io.WriteString(h, format)
-	h.Write(lenBuf[:1]) // separator
-	for _, n := range names {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(n)))
-		h.Write(lenBuf[:])
-		io.WriteString(h, n)
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(set[n])))
-		h.Write(lenBuf[:])
-		h.Write(set[n])
-	}
-	var out PayloadHash
-	h.Sum(out[:0])
-	return out
 }
 
 // frameworkCodeMarkers are the substring signatures the library-inclusion
@@ -352,24 +322,38 @@ func (rep *Report) scanNativeLib(t *markerTable, data []byte) {
 
 // entry is one package member, materialised on demand: map-backed entries
 // carry their bytes, APK-backed entries read lazily (zero-copy for stored
-// members).
+// members). An entry is read at most once and hashed at most once; a read
+// that failed fails again with the same error, without reading again.
 type entry struct {
 	name   string
 	data   []byte
 	loaded bool
+	err    error
 	lazy   *apk.Entry
+	sum    [sha256.Size]byte
+	summed bool
 }
 
 func (e *entry) bytes() ([]byte, error) {
-	if !e.loaded {
-		d, err := e.lazy.Data()
-		if err != nil {
-			return nil, err
-		}
-		e.data = d
-		e.loaded = true
+	if !e.loaded && e.err == nil {
+		e.data, e.err = e.lazy.Data()
+		e.loaded = e.err == nil
 	}
-	return e.data, nil
+	return e.data, e.err
+}
+
+// digest returns the sha256 of the entry's bytes, the digest both the
+// report key and the payload keys are built from.
+func (e *entry) digest() ([sha256.Size]byte, error) {
+	if !e.summed {
+		data, err := e.bytes()
+		if err != nil {
+			return e.sum, err
+		}
+		e.sum = sha256.Sum256(data)
+		e.summed = true
+	}
+	return e.sum, nil
 }
 
 // ExtractAPK opens an APK and extracts everything from it.
@@ -384,30 +368,15 @@ func ExtractAPK(apkBytes []byte) (*Report, error) {
 // lives behind the cache, keyed by checksum. ctx bounds the work:
 // cancellation aborts between candidates and inside cache waits, and the
 // context error comes back unwrapped in the chain (errors.Is-matchable).
+// It is OpenAPK(apkBytes).Extract(ctx, cache).
 func ExtractAPKCached(ctx context.Context, apkBytes []byte, cache DecodeCache) (*Report, error) {
-	metAPKs.Inc()
-	metAPKBytes.Add(uint64(len(apkBytes)))
-	r, err := apk.Open(apkBytes)
-	if err != nil {
-		return nil, fmt.Errorf("extract: %w", err)
-	}
-	aes := r.Entries()
-	entries := make([]entry, len(aes))
-	for i := range aes {
-		entries[i] = entry{name: aes[i].Name(), lazy: &aes[i]}
-	}
-	rep, err := extractEntries(ctx, entries, cache)
-	if err != nil {
-		return nil, fmt.Errorf("extract: %w", err)
-	}
-	rep.Package = r.Manifest().Package
-	return rep, nil
+	return OpenAPK(apkBytes).Extract(ctx, cache)
 }
 
 // extractEntries is the shared extraction core. Entries are processed in
-// name order; only code files (dex, native libs) and extension-matching
-// candidates are ever materialised.
-func extractEntries(ctx context.Context, entries []entry, cache DecodeCache) (*Report, error) {
+// name order; only those entryKinds names (code files and extension-
+// matching candidates) are ever materialised.
+func extractEntries(ctx context.Context, entries []*entry, cache DecodeCache) (*Report, error) {
 	rep := &Report{}
 	t := markers()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
@@ -416,10 +385,8 @@ func extractEntries(ctx context.Context, entries []entry, cache DecodeCache) (*R
 	// through the marker automaton.
 	var cloud cloudAccum
 	cloud.apis = t.apis
-	for i := range entries {
-		e := &entries[i]
-		isDexName := strings.HasSuffix(e.name, ".dex")
-		isLibName := strings.HasPrefix(e.name, "lib/")
+	for _, e := range entries {
+		isDexName, isLibName, _ := entryKinds(e.name)
 		if !isDexName && !isLibName {
 			continue
 		}
@@ -445,12 +412,9 @@ func extractEntries(ctx context.Context, entries []entry, cache DecodeCache) (*R
 	var candidates []int
 	byStem := map[string][]int{}
 	lower := make([]string, len(entries))
-	for i := range entries {
-		name := entries[i].name
-		if strings.HasPrefix(name, "lib/") || strings.HasSuffix(name, ".dex") {
-			continue
-		}
-		if !formats.CandidateExtension(name) {
+	for i, e := range entries {
+		name := e.name
+		if _, _, isCandidate := entryKinds(name); !isCandidate {
 			continue
 		}
 		rep.CandidateFiles++
@@ -461,6 +425,7 @@ func extractEntries(ctx context.Context, entries []entry, cache DecodeCache) (*R
 	}
 	consumed := make([]bool, len(entries))
 	identified := make([]bool, len(entries))
+	var files []payloadFile // the payload key's view of one group, reused
 	for _, ci := range candidates {
 		if err := ctx.Err(); err != nil {
 			// Cancellation between candidates: the partial report is
@@ -498,7 +463,11 @@ func extractEntries(ctx context.Context, entries []entry, cache DecodeCache) (*R
 			group = append(group, si)
 			total += len(sd)
 		}
-		sum, g, ok, err := decodeSet(ctx, cache, format, set)
+		var h PayloadHash
+		if cache != nil {
+			h, files = groupKey(format.Name(), entries, group, files)
+		}
+		sum, g, ok, err := decodeSet(ctx, cache, h, format, set)
 		if err != nil {
 			return nil, err
 		}
@@ -535,12 +504,35 @@ func extractEntries(ctx context.Context, entries []entry, cache DecodeCache) (*R
 	return rep, nil
 }
 
+// groupKey is the payload key of the file set a group of read entries
+// forms, by HashPayload's rule but from the digests the entries carry. A
+// member whose base name an earlier member already had replaced it in the
+// set, and replaces it here too. files is scratch space, returned for
+// reuse.
+func groupKey(format string, entries []*entry, group []int, files []payloadFile) (PayloadHash, []payloadFile) {
+	files = files[:0]
+	for _, gi := range group {
+		e := entries[gi]
+		// Every member was read to join the group, so this cannot fail.
+		sum, _ := e.digest()
+		f := payloadFile{name: path.Base(e.name), size: len(e.data), sum: sum}
+		if j := slices.IndexFunc(files, func(p payloadFile) bool { return p.name == f.name }); j >= 0 {
+			files[j] = f
+		} else {
+			files = append(files, f)
+		}
+	}
+	sortFiles(files)
+	return payloadKey(format, files), files
+}
+
 // decodeSet validates and decodes one candidate file-set, going through
-// the cache's payload front door when one is wired in (hash-before-decode:
-// duplicate payloads cost one md5 pass instead of a full graph decode).
+// the cache's payload front door under the set's payload key h when one is
+// wired in (hash-before-decode: a duplicate payload costs its sha256
+// digests, which the report key shares, instead of a full graph decode).
 // err is non-nil only for cancellation, which must abort the whole report
 // rather than count as a failed validation.
-func decodeSet(ctx context.Context, cache DecodeCache, format formats.Format, set formats.FileSet) (graph.Checksum, *graph.Graph, bool, error) {
+func decodeSet(ctx context.Context, cache DecodeCache, h PayloadHash, format formats.Format, set formats.FileSet) (graph.Checksum, *graph.Graph, bool, error) {
 	if cache == nil {
 		g, err := format.Decode(set)
 		if err != nil {
@@ -548,7 +540,6 @@ func decodeSet(ctx context.Context, cache DecodeCache, format formats.Format, se
 		}
 		return graph.ModelChecksum(g), g, true, nil
 	}
-	h := HashPayload(format.Name(), set)
 	sum, ok, err := cache.Payload(ctx, h, func() (*graph.Graph, error) { return format.Decode(set) })
 	if err != nil {
 		return "", nil, false, err

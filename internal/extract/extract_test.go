@@ -32,9 +32,9 @@ func buildModelFiles(t *testing.T, task zoo.Task, seed int64, fw string) (format
 // extractFiles runs extraction over an in-memory file map, so tests can
 // hand the extractor an app's contents without packaging an APK.
 func extractFiles(files map[string][]byte) *Report {
-	entries := make([]entry, 0, len(files))
+	entries := make([]*entry, 0, len(files))
 	for n, d := range files {
-		entries = append(entries, entry{name: n, data: d, loaded: true})
+		entries = append(entries, &entry{name: n, data: d, loaded: true})
 	}
 	// bytes() cannot fail on pre-loaded entries, so the error is impossible.
 	rep, _ := extractEntries(context.Background(), entries, nil)

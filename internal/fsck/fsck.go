@@ -4,11 +4,11 @@
 // appended past a record's end, and torn manifest tails.
 //
 // Every blob kind has a definite validity check — corpus blobs hash to
-// their key, graph blobs decode and re-derive their checksum key, sealed
-// records (payload, analysis, report, apk, index) verify their embedded
-// digest (apk records additionally carry a codec version and hex-digest
-// keys, index blobs satisfy structural invariants) — so
-// fsck never guesses. Repair is conservative: corrupt derived records are
+// their key, graph blobs pass their CRC-32 trailer, decode and re-derive
+// their checksum key, sealed records (payload, analysis, report, apk,
+// index) verify their embedded digest (apk records additionally carry a
+// codec version and hex-digest keys, index blobs satisfy structural
+// invariants) — so fsck never guesses. Repair is conservative: corrupt derived records are
 // quarantined (moved aside, never deleted) for the next warm run to
 // recompute, and the manifest is rewritten keeping exactly its valid
 // lines. A repaired store warm-resumes as if the corrupt records had

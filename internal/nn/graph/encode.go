@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"github.com/gaugenn/gaugenn/internal/errs"
@@ -69,13 +70,32 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	return g, nil
 }
 
+// EncodeStored is the store's graph blob for g: EncodeBinary(g) followed
+// by a little-endian CRC-32 (IEEE) of those bytes. The model checksum,
+// the blob's key, covers only operators and weights, so the trailer is
+// what holds every other byte of the blob (shapes, strides, names) to
+// what was written.
+func EncodeStored(g *Graph) []byte {
+	w := NewBinWriter(g, 1+crc32.Size)
+	w.u8(binCodecVersion)
+	w.body(g)
+	w.U32(crc32.ChecksumIEEE(w.Buf))
+	return w.Buf
+}
+
 // DecodeStored decodes the graph blob stored under key, the model's
-// checksum, and holds it to that key: a blob that does not decode, or
-// decodes to another model, is not the graph its key names. Every reader
-// of stored graphs applies this one rule, and its errors wrap
-// errs.ErrStoreCorrupt.
+// checksum, and holds it to that key: a blob whose trailer is not the
+// CRC-32 of the bytes before it is not decoded at all, and one that does
+// not decode, or decodes to another model, is not the graph its key names.
+// Every reader of stored graphs applies this one rule, and its errors wrap
+// errs.ErrStoreCorrupt; a blob written before the trailer existed fails it
+// too, and is rewritten like any corrupt one.
 func DecodeStored(data []byte, key Checksum) (*Graph, error) {
-	g, err := DecodeBinary(data)
+	n := len(data) - crc32.Size
+	if n < 0 || crc32.ChecksumIEEE(data[:n]) != binary.LittleEndian.Uint32(data[n:]) {
+		return nil, fmt.Errorf("graph blob fails its CRC-32: %w", errs.ErrStoreCorrupt)
+	}
+	g, err := DecodeBinary(data[:n])
 	if err != nil {
 		return nil, fmt.Errorf("graph blob does not decode: %v: %w", err, errs.ErrStoreCorrupt)
 	}

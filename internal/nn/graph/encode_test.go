@@ -111,17 +111,33 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 }
 
 // TestDecodeStoredHoldsBlobToKey: a graph blob decodes only under its own
-// model checksum; a flipped weight bit or a truncation is ErrStoreCorrupt.
+// model checksum, with its CRC-32 trailer intact; a flipped weight bit, a
+// flipped stride (which the checksum does not cover), a truncation and a
+// blob without the trailer are ErrStoreCorrupt.
 func TestDecodeStoredHoldsBlobToKey(t *testing.T) {
 	g := fullGraph()
 	key := ModelChecksum(g)
-	data := EncodeBinary(g)
+	data := EncodeStored(g)
+	body := EncodeBinary(g)
+	if !bytes.Equal(data[:len(body)], body) || len(data) != len(body)+4 {
+		t.Fatal("EncodeStored is not EncodeBinary plus a 4-byte trailer")
+	}
 	if _, err := DecodeStored(data, key); err != nil {
 		t.Fatalf("intact blob: %v", err)
 	}
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)-1] ^= 1 // the last byte of the head layer's weight
-	for name, blob := range map[string][]byte{"flipped weight bit": flipped, "truncated": data[:len(data)/2]} {
+	weight := append([]byte(nil), data...)
+	weight[len(body)-1] ^= 1 // the last byte of the head layer's weight
+	stride := fullGraph()
+	stride.Layers[0].Attrs.StrideH = 3
+	if ModelChecksum(stride) != key {
+		t.Fatal("the model checksum covers StrideH; pick a field it does not")
+	}
+	strideBody := EncodeBinary(stride)
+	strideFlip := append(append([]byte(nil), strideBody...), data[len(body):]...)
+	for name, blob := range map[string][]byte{
+		"flipped weight bit": weight, "flipped stride": strideFlip,
+		"truncated": data[:len(data)/2], "no trailer": body, "empty": nil,
+	} {
 		if _, err := DecodeStored(blob, key); !errors.Is(err, errs.ErrStoreCorrupt) {
 			t.Errorf("%s: got %v, want ErrStoreCorrupt", name, err)
 		}
