@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -110,4 +111,40 @@ func kernelValues(l *graph.Layer, in graph.Shape) float64 {
 		return shapeElems(in) * math.Abs(float64(a.Units))
 	}
 	return 0
+}
+
+// FuzzRequantize holds requantize to quantCode on arbitrary float32 bit
+// patterns stored the way storeQuant stores them: at the scale and zero
+// point dynamicQuant derives from their own absMax, with that range given,
+// so every finite range takes the clamp-free loop. dt picks int8, uint8 or
+// int16; every stored byte must be quantCode's.
+func FuzzRequantize(f *testing.F) {
+	f.Add(byte(0), []byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, dt byte, data []byte) {
+		dtype := []graph.DType{graph.Int8, graph.UInt8, graph.Int16}[int(dt)%3]
+		src := make([]float32, len(data)/4)
+		for i := range src {
+			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[i*4:]))
+		}
+		amax := absMax(0, src)
+		scale, zp := dynamicQuant(dtype, amax)
+		got := make([]byte, len(src)*dtype.Size())
+		requantize(got, src, dtype, scale, zp, amax)
+		lo, hi := quantRange(dtype)
+		for i, v := range src {
+			q := quantCode(v, 1/scale, float64(zp), lo, hi)
+			var c int32
+			switch dtype {
+			case graph.Int16:
+				c = int32(int16(binary.LittleEndian.Uint16(got[i*2:])))
+			case graph.UInt8:
+				c = int32(got[i])
+			default:
+				c = int32(int8(got[i]))
+			}
+			if c != q {
+				t.Fatalf("%v: %v (%#08x) at range %v stored %d, quantCode %d", dtype, v, math.Float32bits(v), amax, c, q)
+			}
+		}
+	})
 }

@@ -191,7 +191,7 @@ func (in *Instance) floatViewAt(tid int, off *int) []float32 {
 func (in *Instance) storeQuant(tid int, src []float32, amax float32) {
 	t := &in.prog.tensors[tid]
 	scale, zp := dynamicQuant(t.dtype, amax)
-	requantize(in.byteArena[t.off:t.off+t.size], src, t.dtype, scale, zp)
+	requantize(in.byteArena[t.off:t.off+t.size], src, t.dtype, scale, zp, amax)
 	in.scales[tid], in.zps[tid] = scale, zp
 }
 
@@ -205,7 +205,7 @@ func (in *Instance) runStep(st *step) {
 		off := 0
 		src := in.floatViewAt(st.in[0], &off)
 		if out.scale > 0 {
-			requantize(in.raw(st.out), src, out.dtype, out.scale, out.zeroPoint)
+			requantize(in.raw(st.out), src, out.dtype, out.scale, out.zeroPoint, unbounded)
 			in.scales[st.out], in.zps[st.out] = out.scale, out.zeroPoint
 		} else {
 			in.storeQuant(st.out, src, absMax(0, src))
@@ -485,7 +485,9 @@ func (in *Instance) unaryOnCodes(st *step, out *tensorInfo) {
 	}
 	scale, zp := dynamicQuant(out.dtype, amax)
 	var codes [256]byte
-	requantize(codes[:], vals[:], out.dtype, scale, zp)
+	// The table holds codes the tensor does not, whose values may lie
+	// past the range of those it does: they keep their clamps.
+	requantize(codes[:], vals[:], out.dtype, scale, zp, unbounded)
 	dst := in.raw(st.out)[:len(src)]
 	for i, c := range src {
 		dst[i] = codes[c]
@@ -502,13 +504,21 @@ func (in *Instance) addOnCodes(st *step, out *tensorInfo) {
 	x, y := in.raw(st.in[0]), in.raw(st.in[1])
 	dst := in.scratch[:len(x)]
 	y = y[:len(x)]
+	// Without a fused activation the sums are the stored values, so their
+	// range is folded in as they are made (absMax's masked maximum).
+	var amax float32
 	for i, c := range x {
-		dst[i] = va[c] + vb[y[i]]
+		v := va[c] + vb[y[i]]
+		dst[i] = v
+		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > amax {
+			amax = a
+		}
 	}
 	if st.fused.Valid() {
 		applyActivation(dst, st.fused, nil, lastDimOf(out.shape))
+		amax = absMax(0, dst)
 	}
-	in.storeQuant(st.out, dst, absMax(0, dst))
+	in.storeQuant(st.out, dst, amax)
 }
 
 func lastDimOf(s graph.Shape) int {

@@ -66,8 +66,9 @@ func dilationOf(a graph.Attrs) int {
 // (packQ8), depthwise sums small integers in float32, which holds them
 // exactly (qDepthTaps).
 
-// convTile is how many output channels conv2dF32 sums at once in
-// registers; the remaining outC mod convTile accumulate in dst.
+// convTile is how many output channels conv2dF32 and the Q8 kernels sum
+// at once in registers; conv2dF32's remaining outC mod convTile accumulate
+// in dst, the Q8 kernels' in their stack blocks.
 const convTile = 8
 
 // qBlock is the size of the stack block of int32 sums the Q8 kernels fill:
@@ -201,6 +202,39 @@ func q8Lanes(L []int64, x []byte, flip byte, off int32, w []int64, wi, rowL int)
 		wi += rowL
 	}
 	return wi
+}
+
+// q8Tile is q8Lanes for one tile of convTile output channels, whose four
+// packed lanes it holds in registers: it multiplies each zero-point-
+// corrected input of x into the lanes in t against the four lanes of the
+// weight row that starts at w[wi] (rows rowL lanes apart). The kernels
+// call it only for outputs whose products fit in one qPass, so the lanes
+// never need a flush, and every input is multiplied: skipping zeros saves
+// four lane updates, less than a mispredicted branch costs. It stays a
+// call for q8Lanes' reason: written inline in conv2dQ8, the four sums were
+// spilled to the stack.
+//
+//go:noinline
+func q8Tile(t *[convTile / 2]int64, x []byte, flip byte, off int32, w []int64, wi, rowL int) {
+	l0, l1, l2, l3 := t[0], t[1], t[2], t[3]
+	for _, b := range x {
+		q := int64(int32(int8(b^flip)) + off)
+		r := w[wi : wi+4 : wi+4]
+		l0 += q * r[0]
+		l1 += q * r[1]
+		l2 += q * r[2]
+		l3 += q * r[3]
+		wi += rowL
+	}
+	t[0], t[1], t[2], t[3] = l0, l1, l2, l3
+}
+
+// q8TileEnd unpacks a tile's lanes (q8Flush, which clears them for the next
+// tile) and writes its epilogue into y.
+func q8TileEnd(y []float32, t *[convTile / 2]int64, bias []float32, base int, scale float32) {
+	var sums [convTile]int32
+	q8Flush(sums[:], t[:])
+	q8Epilogue(y, sums[:], bias, base, scale)
 }
 
 // q8Flush adds each lane's two int32 sums into sums, wrapping as int32
@@ -343,8 +377,10 @@ func conv2dW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 }
 
 // conv2dQ8 is the full int8 path: integer MAC over quantized activations
-// and the packed weights (packQ8) into packed lanes, flushed into a stack
-// block of int32 sums, with a float epilogue
+// and the packed weights (packQ8) into packed lanes, eight channels at a
+// time in registers (q8Tile) when a pixel's products fit in one qPass, and
+// otherwise on the stack, flushed into a block of int32 sums, with a float
+// epilogue
 // real = acc · inScale · wScale + bias staged into dst (caller-provided
 // float scratch) and the fused activation applied row by row. It returns
 // the largest |real| written, the output's dynamic range.
@@ -356,6 +392,7 @@ func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []int6
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
 	rowL := (outC + 1) / 2 // lanes per packed weight row
 	flip, off := quantFlip(srcUnsigned, srcZP)
+	var tile [convTile / 2]int64
 	var lanes [qBlock / 2]int64
 	var acc [qBlock]int32
 	var amax float32
@@ -370,7 +407,19 @@ func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []int6
 				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
 				span := rowSpan(kw0, kw1, dil)
 				y := dstN[(oh*outW+ow)*outC:][:outC]
-				for oc := 0; oc < outC; oc += qBlock {
+				oc := 0
+				if (kh1-kh0)*(kw1-kw0)*inC <= qPass {
+					for ; oc+convTile <= outC; oc += convTile {
+						for kh := kh0; kh < kh1; kh++ {
+							for kw := kw0; kw < kw1; kw += span {
+								x := srcN[((ih0+kh*dil)*inW+iw0+kw*dil)*inC:][:span*inC]
+								q8Tile(&tile, x, flip, off, w, (kh*a.KernelW+kw)*inC*rowL+oc/2, rowL)
+							}
+						}
+						q8TileEnd(y[oc:], &tile, bias, oc, outScale)
+					}
+				}
+				for ; oc < outC; oc += qBlock {
 					sums := acc[:min(qBlock, outC-oc)]
 					L := lanes[:(len(sums)+1)/2]
 					clear(sums)
@@ -497,9 +546,11 @@ const qDepthTaps = 514
 // int8 weights held as float32 (w): both are small integers, so every
 // product and every sum of up to qDepthTaps products is exact, and summing
 // in float32 gives the int32 sums bit for bit at the fp32 kernel's speed.
-// A pixel with more valid taps moves its sums into a stack block of int32
-// every qDepthTaps taps. The epilogue, fused activation and returned range
-// are conv2dQ8's.
+// At multiplier 1 a pixel with at most qDepthTaps taps sums eight channels
+// at a time in registers across all its taps; other sums accumulate in
+// dst, and a pixel with more valid taps moves them into a stack block of
+// int32 every qDepthTaps taps. The epilogue, fused activation and returned
+// range are conv2dQ8's.
 func dwConvQ8(dst, xq []float32, src []byte, srcZP int32, srcUnsigned bool, w, bias []float32, outScale float32, act graph.OpType, in, out graph.Shape, a graph.Attrs) float32 {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
@@ -508,6 +559,7 @@ func dwConvQ8(dst, xq []float32, src []byte, srcZP int32, srcUnsigned bool, w, b
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
 	flip, off := quantFlip(srcUnsigned, srcZP)
+	xStep := dil * inC // between a kernel row's taps in xq
 	xq = xq[:len(src)]
 	for i, b := range src {
 		xq[i] = float32(int32(int8(b^flip)) + off)
@@ -524,7 +576,34 @@ func dwConvQ8(dst, xq []float32, src []byte, srcZP int32, srcUnsigned bool, w, b
 				iw0 := ow*a.StrideW - padL
 				kw0, kw1 := tapRange(iw0, dil, a.KernelW, inW)
 				y := dstN[(oh*outW+ow)*outC:][:outC]
-				for oc := 0; oc < outC; oc += qBlock {
+				oc := 0
+				if mult == 1 && (kh1-kh0)*(kw1-kw0) <= qDepthTaps {
+					for ; oc+convTile <= outC; oc += convTile {
+						var s0, s1, s2, s3, s4, s5, s6, s7 float32
+						for kh := kh0; kh < kh1; kh++ {
+							xi := ((ih0+kh*dil)*inW+iw0+kw0*dil)*inC + oc
+							wi := (kh*a.KernelW+kw0)*outC + oc
+							for kw := kw0; kw < kw1; kw++ {
+								x := srcN[xi : xi+convTile : xi+convTile]
+								r := w[wi : wi+convTile : wi+convTile]
+								s0 += x[0] * r[0]
+								s1 += x[1] * r[1]
+								s2 += x[2] * r[2]
+								s3 += x[3] * r[3]
+								s4 += x[4] * r[4]
+								s5 += x[5] * r[5]
+								s6 += x[6] * r[6]
+								s7 += x[7] * r[7]
+								xi += xStep
+								wi += outC
+							}
+						}
+						t := y[oc : oc+convTile : oc+convTile]
+						t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = s0, s1, s2, s3, s4, s5, s6, s7
+						q8Epilogue(t, t, bias, oc, outScale)
+					}
+				}
+				for ; oc < outC; oc += qBlock {
 					sums := y[oc:min(oc+qBlock, outC)]
 					clear(sums)
 					flushed, left := false, qDepthTaps
@@ -613,12 +692,20 @@ func denseW8(dst, src []float32, w []byte, bias []float32, wScale float32, batch
 func denseQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []int64, bias []float32, outScale float32, act graph.OpType, batch, inF, units int) float32 {
 	rowL := (units + 1) / 2
 	flip, off := quantFlip(srcUnsigned, srcZP)
+	var tile [convTile / 2]int64
 	var lanes [qBlock / 2]int64
 	var acc [qBlock]int32
 	var amax float32
 	for n := 0; n < batch; n++ {
 		y := dst[n*units : (n+1)*units]
-		for u := 0; u < units; u += qBlock {
+		u := 0
+		if inF <= qPass {
+			for ; u+convTile <= units; u += convTile {
+				q8Tile(&tile, src[n*inF:(n+1)*inF], flip, off, w, u/2, rowL)
+				q8TileEnd(y[u:], &tile, bias, u, outScale)
+			}
+		}
+		for ; u < units; u += qBlock {
 			sums := acc[:min(qBlock, units-u)]
 			L := lanes[:(len(sums)+1)/2]
 			clear(sums)

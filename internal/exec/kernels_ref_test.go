@@ -405,6 +405,6 @@ func elementwiseRef(op, fused graph.OpType, alpha []float32, channels int, ins [
 		zp = 128
 	}
 	out := make([]byte, len(dst))
-	requantize(out, dst, outDT, scale, zp)
+	requantize(out, dst, outDT, scale, zp, unbounded)
 	return out, scale, zp
 }

@@ -248,7 +248,7 @@ func TestQuantRoundTrip(t *testing.T) {
 		if dt == graph.UInt8 {
 			zp = 128
 		}
-		requantize(buf, src, dt, scale, zp)
+		requantize(buf, src, dt, scale, zp, absMax(0, src))
 		back := make([]float32, len(src))
 		dequantize(back, buf, dt, scale, zp)
 		almost(t, "roundtrip "+dt.String(), back, src, scale/2+1e-7)
@@ -272,7 +272,7 @@ func TestRequantizeSaturates(t *testing.T) {
 		{graph.Int16, 0, []int32{32767, -32768, 32767, -32768, 0, 32767, -32768, 127, 127, 200, 0, 0, 2, -2, 2}},
 	} {
 		buf := make([]byte, len(src)*tc.dt.Size())
-		requantize(buf, src, tc.dt, 1, tc.zp)
+		requantize(buf, src, tc.dt, 1, tc.zp, unbounded)
 		for i, want := range tc.want {
 			var got int32
 			switch tc.dt {
@@ -285,6 +285,72 @@ func TestRequantizeSaturates(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s zero point %d: %v stored %d, want %d", tc.dt, tc.zp, src[i], got, want)
+			}
+		}
+	}
+}
+
+// TestRequantizeDynamicMatchesQuantCode stores tensors the way storeQuant
+// does, at the scale dynamicQuant derives from their own absMax, and
+// requires every byte to be quantCode's, for int8, uint8 (zero point 128)
+// and int16. The tensors are random values, random values with NaNs,
+// values with ±Inf (an infinite range, which keeps the clamps), -0 among
+// values, subnormals only, and zeros only. Where the range proves the
+// clamps idle, roundCode itself must give quantCode's code before the zero
+// point is added, NaN's 0 included.
+func TestRequantizeDynamicMatchesQuantCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	random := func(n int) []float32 {
+		out := randFloats(rng, n)
+		for i := range out {
+			out[i] *= 3
+		}
+		return out
+	}
+	withNaN := random(1000)
+	for i := 0; i < len(withNaN); i += 7 {
+		withNaN[i] = nan
+	}
+	withInf := random(100)
+	withInf[10], withInf[60] = inf, -inf
+	for _, tc := range []struct {
+		name string
+		src  []float32
+	}{
+		{"random", random(4096)},
+		{"nan", withNaN},
+		{"inf", withInf},
+		{"negative-zero", []float32{negZero, 0.5, negZero, -1.25, 2.5, -2.5, 0.01}},
+		{"subnormal-max", []float32{1e-45, -3e-45, 1.2e-40, -1.17e-38, 0, negZero}},
+		{"zeros", make([]float32, 64)},
+	} {
+		for _, dt := range []graph.DType{graph.Int8, graph.UInt8, graph.Int16} {
+			amax := absMax(0, tc.src)
+			scale, zp := dynamicQuant(dt, amax)
+			buf := make([]byte, len(tc.src)*dt.Size())
+			requantize(buf, tc.src, dt, scale, zp, amax)
+			inv := 1 / scale
+			lo, hi := quantRange(dt)
+			want := make([]byte, len(buf))
+			for i, v := range tc.src {
+				q := quantCode(v, inv, float64(zp), lo, hi)
+				switch dt {
+				case graph.Int16:
+					binary.LittleEndian.PutUint16(want[i*2:], uint16(int16(q)))
+				default:
+					want[i] = byte(q)
+				}
+				if math.IsInf(float64(amax), 0) {
+					continue
+				}
+				if got, ref := roundCode(v, inv), quantCode(v, inv, 0, lo-float64(zp), hi-float64(zp)); got != ref {
+					t.Errorf("%s/%v: roundCode(%v) = %d, quantCode %d", tc.name, dt, v, got, ref)
+				}
+			}
+			if !bytes.Equal(buf, want) {
+				t.Errorf("%s/%v: requantize stored %v, quantCode %v", tc.name, dt, buf, want)
 			}
 		}
 	}
@@ -395,6 +461,15 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 		// conv0 of face detection on an odd-sized input: each kernel row's
 		// in-bounds taps read one run of up to 15 input values.
 		{"5x5/same/stride2/inC3/outC24", 1, 17, 15, 3, 5, 5, 24, 1, 2, 1, "same", true},
+		// Register tiles of convTile channels: conv2d with exactly one
+		// tile and with two tiles and an odd last channel; depthwise at
+		// multiplier 1 over two full tiles, over one tile and five
+		// leftover channels, and over nine channels with 529 taps, past
+		// qDepthTaps, where the tile must give way to the flushed sums.
+		{"1x1/valid/inC5/outC8", 1, 3, 4, 5, 1, 1, 8, 1, 1, 1, "valid", true},
+		{"3x3/same/inC16/outC17", 1, 5, 6, 16, 3, 3, 17, 1, 1, 1, "same", true},
+		{"3x3/same/inC13/outC9", 1, 5, 5, 13, 3, 3, 9, 1, 1, 1, "same", false},
+		{"23x23/valid/inC9/outC1", 1, 24, 23, 9, 23, 23, 1, 1, 1, 1, "valid", true},
 	} {
 		a := graph.Attrs{
 			KernelH: tc.kh, KernelW: tc.kw, StrideH: tc.stride, StrideW: tc.stride,
@@ -444,6 +519,8 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 		{1, 13, 24, true},
 		{2, 5, 300, true},
 		{1, 300, 7, false},
+		{1, 30, 8, true},
+		{2, 11, 17, false},
 	} {
 		name := fmt.Sprintf("dense/batch%d/inF%d/units%d", tc.batch, tc.inF, tc.units)
 		var bias []float32
@@ -493,6 +570,23 @@ func TestKernelsMatchScalarOracle(t *testing.T) {
 			func(dst []float32) float32 { return k.q8(dst, xq, 0, true, wq, nil, 1, graph.OpInvalid, in, out, a) },
 			func(dst []float32) { k.q8Ref(dst, xq, 0, true, wq, nil, 1, in, out, a) })
 	}
+	// A 1×1 conv2d over 131587 channels: each of its 9 outputs sums more
+	// products than one qPass, so its register tiles must give way to the
+	// flushed lanes. The sums are the overflow rows' -32129 (one weight
+	// -127 per channel, at input qDepthTaps); a tile summed without flushes
+	// carries the low channel's borrow into the high one, which then reads
+	// -32130.
+	in, out = graph.Shape{1, 1, 1, taps}, graph.Shape{1, 1, 1, 9}
+	a = graph.Attrs{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Filters: 9}
+	wq = filled(taps*9, 0x80)
+	for c := range 9 {
+		wq[qDepthTaps*9+c] = 0x81
+	}
+	matchQ8Oracle(t, "conv2d/past-qPass", 9, 9, graph.OpInvalid,
+		func(dst []float32) float32 {
+			return conv2dQ8Packed(dst, xq, 0, true, wq, nil, 1, graph.OpInvalid, in, out, a)
+		},
+		func(dst []float32) { conv2dQ8Ref(dst, xq, 0, true, wq, nil, 1, in, out, a) })
 }
 
 // filled returns n bytes of value b.

@@ -100,29 +100,81 @@ func dynamicQuant(dt graph.DType, amax float32) (scale float64, zp int32) {
 	return scale, zp
 }
 
+// unbounded is the range requantize is given when no bound on |v| is
+// known: it proves no clamp idle.
+var unbounded = float32(math.Inf(1))
+
 // requantize stores real-valued src into the quantized byte buffer dst
-// with the given scale/zeroPoint (see quantCode).
-func requantize(dst []byte, src []float32, dt graph.DType, scale float64, zp int32) {
+// with the given scale/zeroPoint; every code is quantCode's. amax bounds
+// |v| over src (unbounded when nothing is known). When the scale maps
+// ±amax inside the dtype's codes, no value of src can reach a clamp, and
+// requantize rounds each value with roundCode instead. That holds for
+// every dynamic-range store: dynamicQuant derives the scale from the range
+// of exactly the values stored. A static scale, or a code table that holds
+// values the tensor does not, passes unbounded and keeps the clamps.
+func requantize(dst []byte, src []float32, dt graph.DType, scale float64, zp int32, amax float32) {
 	inv := 0.0
 	if scale != 0 {
 		inv = 1 / scale
 	}
 	lo, hi := quantRange(dt)
 	z := float64(zp)
+	// Multiplying by inv and rounding are both monotone in |v|, so no code
+	// lies further from the zero point than ±amax's; NaN fails the test.
+	m := math.RoundToEven(math.Abs(float64(float64(amax) * inv)))
+	clampFree := z-m >= lo && z+m <= hi
 	switch dt {
 	case graph.UInt8:
+		if clampFree {
+			for i, v := range src {
+				dst[i] = byte(roundCode(v, inv) + zp)
+			}
+			return
+		}
 		for i, v := range src {
 			dst[i] = byte(quantCode(v, inv, z, lo, hi))
 		}
 	case graph.Int16:
+		if clampFree {
+			for i, v := range src {
+				binary.LittleEndian.PutUint16(dst[i*2:], uint16(int16(roundCode(v, inv)+zp)))
+			}
+			return
+		}
 		for i, v := range src {
 			binary.LittleEndian.PutUint16(dst[i*2:], uint16(int16(quantCode(v, inv, z, lo, hi))))
 		}
 	default: // Int8
+		if clampFree {
+			for i, v := range src {
+				dst[i] = byte(int8(roundCode(v, inv) + zp))
+			}
+			return
+		}
 		for i, v := range src {
 			dst[i] = byte(int8(quantCode(v, inv, z, lo, hi)))
 		}
 	}
+}
+
+// roundBias is 1.5·2^52: adding it to a float64 of magnitude below 2^51
+// leaves a sum whose unit in the last place is 1, so the addition rounds
+// the value to an integer, half to even, and subtracting it again leaves
+// that integer exactly.
+const roundBias = 1.5 * (1 << 52)
+
+// roundCode is quantCode for a v·inv that requantize has proved lies
+// inside the dtype's codes: it rounds half to even by adding and
+// subtracting roundBias, without clamps, and NaN still rounds to 0 (the
+// zero point once added). The product is converted to float64 explicitly
+// so that no architecture fuses it with the addition into one multiply-add,
+// which would round once instead of twice.
+func roundCode(v float32, inv float64) int32 {
+	r := float64(float64(v)*inv) + roundBias - roundBias
+	if r != r {
+		r = 0
+	}
+	return int32(r)
 }
 
 // quantCode rounds v·inv half to even, adds the zero point and clamps the

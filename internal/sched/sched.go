@@ -129,8 +129,9 @@ type Job struct {
 	Err     string `json:"error,omitempty"`
 }
 
-// Config tunes a Scheduler. The zero value is usable for tests; DefaultConfig
-// gives service-shaped bounds.
+// Config tunes a Scheduler. The zero value runs with service-shaped
+// bounds: every bound left at or below zero takes the default its field
+// names.
 type Config struct {
 	// CacheDir backs every run with one shared persistent store: runs
 	// dedupe work across submissions, and a preempted run resumes warm.
@@ -157,11 +158,6 @@ type Config struct {
 	// Run executes one study; nil uses core.Run. Tests interpose
 	// controllable fakes here.
 	Run func(ctx context.Context, cfg core.Config) (*core.StudyResult, error)
-}
-
-// DefaultConfig returns service-shaped bounds over the given store dir.
-func DefaultConfig(cacheDir string) Config {
-	return Config{CacheDir: cacheDir, MaxWorkers: 2, MaxQueue: 16}
 }
 
 func (c Config) maxWorkers() int {
