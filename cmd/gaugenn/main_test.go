@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -17,10 +19,12 @@ import (
 )
 
 // TestMetricCatalogueCoversRegistry keeps docs/observability.md's metric
-// catalogue from drifting: this binary links every instrumented layer, so
-// rendering the default registry lists every family those layers register
-// at init, and each must match a catalogue entry (the first column of the
-// table, without the gaugenn_ prefix; a * entry matches by prefix).
+// catalogue from drifting, both ways. This binary links every instrumented
+// layer, so rendering the default registry lists every family those layers
+// register at init, and each must match a catalogue entry (the first column
+// of the table, without the gaugenn_ prefix; a * entry matches by prefix).
+// And each entry must match a "gaugenn_..." name literal in the module's
+// non-test Go files, so a deleted metric's row cannot outlive it.
 func TestMetricCatalogueCoversRegistry(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/observability.md")
 	if err != nil {
@@ -64,6 +68,48 @@ func TestMetricCatalogueCoversRegistry(t *testing.T) {
 	}
 	if families == 0 {
 		t.Fatal("the registry rendered no gaugenn_ families")
+	}
+
+	// perfbench is its own module and registers no family.
+	literal := regexp.MustCompile(`"gaugenn_([a-z0-9_]+)"`)
+	var names []string
+	root := filepath.Join("..", "..")
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || p == filepath.Join(root, "perfbench")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, m := range literal.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		named := false
+		for _, n := range names {
+			if ok, _ := path.Match(e, n); ok {
+				named = true
+				break
+			}
+		}
+		if !named {
+			t.Errorf("catalogue entry %s matches no gaugenn_ name in the module's non-test Go files", e)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package apk implements the Android application package containers gaugeNN
-// extracts models from: the base APK (a zip with manifest, dex bytecode,
-// native libraries and assets), OBB expansion files and App Bundle asset
-// packs — the three distribution channels of Section 3.1. The 100 MB base
-// APK limit that pushes large models into companion files is enforced here.
+// Package apk implements the base APK gaugeNN extracts models from: a zip
+// with manifest, dex bytecode, native libraries and assets. Section 3.1
+// also names OBB expansion files and App Bundle asset packs; the crawler
+// checks each app's delivery manifest for them and, as in the paper, finds
+// none, so no codec for them lives here. The 100 MB base APK limit that
+// pushes large models into those companion files is enforced here.
 package apk
 
 import (

@@ -127,70 +127,6 @@ func TestModelAssetsStoredUncompressed(t *testing.T) {
 	}
 }
 
-func TestOBBRoundTrip(t *testing.T) {
-	obb := OBB{
-		Package:     "com.example.camera",
-		VersionCode: 42,
-		Main:        true,
-		Files: map[string][]byte{
-			"models/big_segmenter.tflite": bytes.Repeat([]byte{1, 2, 3}, 1000),
-		},
-	}
-	if obb.Name() != "main.42.com.example.camera.obb" {
-		t.Fatalf("OBB name = %s", obb.Name())
-	}
-	patch := obb
-	patch.Main = false
-	if patch.Name() != "patch.42.com.example.camera.obb" {
-		t.Fatalf("patch name = %s", patch.Name())
-	}
-	enc, err := obb.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := DecodeOBB(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(files["models/big_segmenter.tflite"], obb.Files["models/big_segmenter.tflite"]) {
-		t.Fatal("OBB contents corrupted")
-	}
-	if _, err := DecodeOBB([]byte("junk")); err == nil {
-		t.Fatal("junk OBB should fail")
-	}
-}
-
-func TestBundleAssetPacks(t *testing.T) {
-	base, err := NewBuilder(sampleManifest()).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Bundle{
-		Base: base,
-		AssetPacks: map[string]map[string][]byte{
-			"ml_models":   {"detector.tflite": []byte{9, 9, 9}},
-			"extra_fonts": {"font.ttf": []byte{1}},
-		},
-	}
-	if got := b.PackNames(); len(got) != 2 || got[0] != "extra_fonts" {
-		t.Fatalf("PackNames = %v", got)
-	}
-	enc, err := b.EncodePack("ml_models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := DecodePack(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(files["detector.tflite"], []byte{9, 9, 9}) {
-		t.Fatal("pack contents corrupted")
-	}
-	if _, err := b.EncodePack("missing"); err == nil {
-		t.Fatal("unknown pack should fail")
-	}
-}
-
 func TestStoredEntryZeroCopy(t *testing.T) {
 	model := bytes.Repeat([]byte{0xCD}, 8192)
 	apkBytes, err := NewBuilder(sampleManifest()).

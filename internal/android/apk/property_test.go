@@ -49,41 +49,6 @@ func TestAPKAssetRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: OBB containers round-trip arbitrary file maps.
-func TestOBBRoundTripProperty(t *testing.T) {
-	f := func(names []string, payload []byte) bool {
-		files := map[string][]byte{}
-		for i, n := range names {
-			if i >= 5 {
-				break
-			}
-			clean := fmt.Sprintf("f%d_%x", i, len(n)) // zip-safe names
-			files[clean] = payload
-		}
-		obb := OBB{Package: "p.p", VersionCode: 2, Main: true, Files: files}
-		enc, err := obb.Encode()
-		if err != nil {
-			return false
-		}
-		got, err := DecodeOBB(enc)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(files) {
-			return false
-		}
-		for n, d := range files {
-			if !bytes.Equal(got[n], d) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: manifests round-trip for arbitrary printable package names and
 // versions.
 func TestManifestRoundTripProperty(t *testing.T) {

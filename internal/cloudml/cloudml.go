@@ -133,17 +133,3 @@ func DetectSmali(files map[string]string) []Detection {
 	})
 	return out
 }
-
-// APIs returns the distinct API names in a detection list.
-func APIs(ds []Detection) []string {
-	set := map[string]bool{}
-	for _, d := range ds {
-		set[d.API] = true
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -58,9 +58,8 @@ func TestDetectSmaliThroughBaksmali(t *testing.T) {
 	if len(dets) != 2 {
 		t.Fatalf("detections = %v", dets)
 	}
-	apis := APIs(dets)
-	if apis[0] != "Lex (chatbot)" || apis[1] != "Vision/Face" {
-		t.Fatalf("APIs = %v", apis)
+	if dets[0].API != "Lex (chatbot)" || dets[1].API != "Vision/Face" {
+		t.Fatalf("APIs = %v", dets)
 	}
 	providers := map[string]string{}
 	for _, det := range dets {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,7 +54,6 @@ type InferenceResponse struct {
 type InferenceServer struct {
 	// ComputeTime is the per-request server-side inference time.
 	ComputeTime time.Duration
-	requests    atomic.Int64
 	ln          net.Listener
 }
 
@@ -63,9 +61,6 @@ type InferenceServer struct {
 func NewInferenceServer() *InferenceServer {
 	return &InferenceServer{ComputeTime: 9 * time.Millisecond}
 }
-
-// Requests reports how many inferences were served.
-func (s *InferenceServer) Requests() int64 { return s.requests.Load() }
 
 // ServeHTTP implements http.Handler (POST /v1/infer).
 func (s *InferenceServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -82,7 +77,6 @@ func (s *InferenceServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown API "+req.API, http.StatusBadRequest)
 		return
 	}
-	s.requests.Add(1)
 	// The datacenter compute happens in simulated time; the wire only
 	// carries its value back.
 	json.NewEncoder(w).Encode(InferenceResponse{

@@ -55,10 +55,6 @@ type Client struct {
 	// retry.Default(). A 429/503 Retry-After header overrides the
 	// computed backoff, capped by the policy's MaxDelay.
 	Retry *retry.Policy
-	// Breaker, when non-nil, circuit-breaks per BaseURL: once the host
-	// trips it, further requests fail fast with retry.ErrOpen instead of
-	// burning the full ladder against a dead server.
-	Breaker *retry.Breaker
 }
 
 // NewClient builds a client with the paper's default device profile (a
@@ -89,16 +85,11 @@ func (c *Client) get(ctx context.Context, path string, q url.Values) ([]byte, er
 	}
 	var body []byte
 	err := retry.Do(ctx, c.policy(), func(ctx context.Context) error {
-		if !c.Breaker.Allow(c.BaseURL) {
-			return retry.Permanent(fmt.Errorf("crawler: host %s: %w", c.BaseURL, retry.ErrOpen))
-		}
 		b, retryable, err := c.getOnce(ctx, u, path)
 		if err == nil {
-			c.Breaker.Success(c.BaseURL)
 			body = b
 			return nil
 		}
-		c.Breaker.Failure(c.BaseURL)
 		if !retryable {
 			return retry.Permanent(err)
 		}
@@ -178,19 +169,6 @@ func (c *Client) TopChart(ctx context.Context, category string, n int) ([]AppMet
 		return nil, fmt.Errorf("crawler: bad chart payload: %w", err)
 	}
 	return out, nil
-}
-
-// Details fetches one app's metadata.
-func (c *Client) Details(ctx context.Context, pkg string) (AppMeta, error) {
-	var meta AppMeta
-	body, err := c.get(ctx, "/fdfe/details", url.Values{"doc": {pkg}})
-	if err != nil {
-		return meta, err
-	}
-	if err := json.Unmarshal(body, &meta); err != nil {
-		return meta, fmt.Errorf("crawler: bad details payload: %w", err)
-	}
-	return meta, nil
 }
 
 // DownloadAPK fetches the app's base APK bytes.

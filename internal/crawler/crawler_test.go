@@ -48,14 +48,6 @@ func TestClientEndpoints(t *testing.T) {
 		t.Fatalf("chart: %+v", chart)
 	}
 
-	meta, err := c.Details(context.Background(), chart[0].Package)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Package != chart[0].Package || meta.Category != "COMMUNICATION" {
-		t.Fatalf("details: %+v", meta)
-	}
-
 	apk, err := c.DownloadAPK(context.Background(), chart[0].Package)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +64,7 @@ func TestClientEndpoints(t *testing.T) {
 		t.Fatal("expected no companion files")
 	}
 
-	if _, err := c.Details(context.Background(), "ghost.pkg"); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := c.DownloadAPK(context.Background(), "ghost.pkg"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown package should 404: %v", err)
 	}
 	_ = study

@@ -3,7 +3,6 @@ package crawler
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -84,33 +83,6 @@ func TestClientDefaultPolicyRetries(t *testing.T) {
 	}
 	if count.Load() != 3 {
 		t.Fatalf("requests = %d, want 3 under retry.Default()", count.Load())
-	}
-}
-
-func TestClientBreakerFailsFast(t *testing.T) {
-	var count atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		count.Add(1)
-		http.Error(w, "dead backend", http.StatusInternalServerError)
-	}))
-	t.Cleanup(srv.Close)
-
-	c := NewClient(srv.URL)
-	c.Retry = &retry.Policy{Attempts: 3, BaseDelay: time.Millisecond, Multiplier: 1}
-	c.Breaker = retry.NewBreaker(3)
-	if _, err := c.Categories(context.Background()); err == nil {
-		t.Fatal("dead backend should fail")
-	}
-	reqsAfterTrip := count.Load()
-	if reqsAfterTrip != 3 {
-		t.Fatalf("first ladder made %d requests, want 3", reqsAfterTrip)
-	}
-	_, err := c.Categories(context.Background())
-	if !errors.Is(err, retry.ErrOpen) {
-		t.Fatalf("tripped breaker returned %v, want retry.ErrOpen", err)
-	}
-	if count.Load() != reqsAfterTrip {
-		t.Fatalf("open circuit still issued %d requests", count.Load()-reqsAfterTrip)
 	}
 }
 

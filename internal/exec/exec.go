@@ -657,15 +657,6 @@ func (p *Program) ArenaBytes() int64 {
 	return int64(p.floatArena)*4 + int64(p.byteArena) + int64(p.scratch)*4
 }
 
-// Inputs lists the model's input tensor names in declaration order.
-func (p *Program) Inputs() []string {
-	out := make([]string, len(p.inputs))
-	for i, tid := range p.inputs {
-		out[i] = p.tensors[tid].name
-	}
-	return out
-}
-
 // Outputs lists the model's output tensor names in declaration order.
 func (p *Program) Outputs() []string {
 	out := make([]string, len(p.outputs))

@@ -356,7 +356,10 @@ func (e *entry) digest() ([sha256.Size]byte, error) {
 	return e.sum, nil
 }
 
-// ExtractAPK opens an APK and extracts everything from it.
+// ExtractAPK opens an APK and extracts everything from it, decoding every
+// payload without a cache. No binary calls it: it stays as the reference
+// rule that FuzzAPKKey and the key tests compare cached extraction
+// against.
 func ExtractAPK(apkBytes []byte) (*Report, error) {
 	return ExtractAPKCached(context.Background(), apkBytes, nil)
 }

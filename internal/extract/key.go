@@ -179,7 +179,9 @@ func sortFiles(files []payloadFile) {
 // format, digesting each file's bytes itself: equal keys imply identical
 // decode outcomes, because Decode is a pure function of the (name, bytes)
 // set and the format. Extraction keys the sets it finds by the same rule
-// from the digests its entries already carry.
+// from the digests its entries already carry. No binary calls it: it
+// stays as the reference rule that the payload-key tests of extract and
+// analysis compare those keys against.
 func HashPayload(format string, set formats.FileSet) PayloadHash {
 	files := make([]payloadFile, 0, len(set))
 	for name, data := range set {

@@ -1,8 +1,7 @@
 package fleet
 
-// Scheduler-level chaos: circuit-breaker retirement, stranded-unit
-// accounting, and retry-policy pacing, driven through the same fakeRunner
-// the transport-failure suite uses.
+// Scheduler-level chaos: the retry policy's attempt cap and pacing,
+// driven through the same fakeRunner the transport-failure suite uses.
 
 import (
 	"context"
@@ -14,83 +13,6 @@ import (
 	"github.com/gaugenn/gaugenn/internal/retry"
 	"github.com/gaugenn/gaugenn/internal/testutil"
 )
-
-func TestBreakerRetiresFlakyRigAndFailsOver(t *testing.T) {
-	dead := newFakeRunner(t, "rig-dead", "Q845", -1) // every job fails
-	good := newFakeRunner(t, "rig-good", "Q845", 0)
-	pool, err := NewPool(dead, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := pool.Run(context.Background(), failureMatrix(t, "Q845"), Config{
-		NoCooldown: true,
-		Breaker:    retry.NewBreaker(2),
-	})
-	if err != nil {
-		t.Fatalf("healthy rig should absorb the fail-over: %v", err)
-	}
-	for _, ur := range agg.Units() {
-		if ur.Err != nil {
-			t.Fatalf("unit %d: %v", ur.Unit.Index, ur.Err)
-		}
-		if ur.Unit.Skip == "" && ur.Runner != "rig-good" {
-			t.Fatalf("unit %d served by %s, want rig-good", ur.Unit.Index, ur.Runner)
-		}
-	}
-	dead.mu.Lock()
-	calls := dead.calls
-	dead.mu.Unlock()
-	if calls > 2 {
-		t.Fatalf("retired rig was called %d times, breaker threshold is 2", calls)
-	}
-}
-
-func TestBreakerStrandedUnitsSurfaceTyped(t *testing.T) {
-	dead := newFakeRunner(t, "rig-dead", "Q845", -1)
-	pool, err := NewPool(dead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := failureMatrix(t, "Q845")
-	var units []UnitResult
-	agg, err := pool.Run(context.Background(), m, Config{
-		NoCooldown: true,
-		Breaker:    retry.NewBreaker(1),
-		OnUnit:     func(ur UnitResult) { units = append(units, ur) },
-	})
-	if err == nil {
-		t.Fatal("a fully-dead pool must surface an error")
-	}
-	if !errors.Is(err, errs.ErrExhausted) {
-		t.Fatalf("err = %v, want errs.ErrExhausted on the chain", err)
-	}
-	expanded, _ := m.Expand()
-	if len(agg.Units()) != len(expanded) {
-		t.Fatalf("aggregator holds %d units, want all %d (stranded cells must not vanish)",
-			len(agg.Units()), len(expanded))
-	}
-	tried, stranded := 0, 0
-	for _, ur := range units {
-		if ur.Unit.Skip != "" {
-			continue
-		}
-		var ex *ExhaustedError
-		if !errors.As(ur.Err, &ex) {
-			t.Fatalf("unit %d error %v is not an ExhaustedError", ur.Unit.Index, ur.Err)
-		}
-		if ex.Attempts > 0 {
-			tried++
-		} else {
-			stranded++
-		}
-	}
-	if tried != 1 {
-		t.Fatalf("tried = %d, want exactly 1 (threshold-1 breaker retires after the first failure)", tried)
-	}
-	if stranded == 0 {
-		t.Fatal("no stranded units surfaced — the sweep is not running")
-	}
-}
 
 func TestRetryAttemptsCapScheduling(t *testing.T) {
 	// Both rigs would fail the first unit once; with the policy's single

@@ -14,7 +14,7 @@ var (
 	metRequeues = obs.Default().Counter("gaugenn_fleet_requeues_total",
 		"Units returned to their queue after a failed or cancelled serve.")
 	metExhausted = obs.Default().Counter("gaugenn_fleet_exhausted_total",
-		"Units that exhausted their runners or attempt budget (stranded units included).")
+		"Units that exhausted their runners or attempt budget.")
 )
 
 // queueDepthGauge resolves the pending-unit gauge for one device model.

@@ -81,9 +81,6 @@ func (r *AgentRunner) ID() string { return r.id }
 // DeviceModel returns the Table 1 device model the rig benchmarks.
 func (r *AgentRunner) DeviceModel() string { return r.device }
 
-// Master exposes the underlying master for timeout tuning.
-func (r *AgentRunner) Master() *bench.Master { return r.master }
-
 // Run executes one job through the full master-slave workflow.
 func (r *AgentRunner) Run(ctx context.Context, job bench.Job) (bench.JobResult, error) {
 	res, err := r.master.RunJobs(ctx, []bench.Job{job})

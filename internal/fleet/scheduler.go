@@ -57,11 +57,6 @@ type Config struct {
 	// device. Its Attempts caps scheduling attempts per job. Nil retries
 	// immediately, once per runner of the job's device model.
 	Retry *retry.Policy
-	// Breaker, when non-nil, circuit-breaks per runner ID: a rig whose
-	// consecutive transport failures reach the threshold is retired from
-	// the run (its worker exits; pending units fail over to surviving
-	// rigs, or surface as ExhaustedErrors when none remain).
-	Breaker *retry.Breaker
 	// NoCooldown skips thermal pacing before each job. The default
 	// (pacing on) cools the device to CooldownTargetJ so within-job
 	// throttling is measured deliberately, not inherited from the queue.
@@ -176,7 +171,6 @@ type unitState struct {
 	excluded map[string]bool
 	tried    []string
 	attempts int
-	lastErr  error
 }
 
 // schedQueue holds the per-device-model pending lists. All transitions
@@ -280,7 +274,6 @@ func (q *schedQueue) fail(st *unitState, runnerID string, err error, eligible []
 		q.cond.Broadcast()
 	}()
 	st.excluded[runnerID] = true
-	st.lastErr = err
 	remaining := 0
 	for _, r := range eligible {
 		if !st.excluded[r.ID()] {
@@ -302,32 +295,6 @@ func (q *schedQueue) fail(st *unitState, runnerID string, err error, eligible []
 		Tried:    append([]string(nil), st.tried...),
 		Last:     err,
 	}
-}
-
-// stranded finalises every unit still unserved after the worker pool
-// drained — the case where breaker-retired rigs left no one to claim a
-// pending unit. Each becomes an ExhaustedError so no cell is silently
-// lost.
-func (q *schedQueue) stranded() []*unitState {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []*unitState
-	for model, sts := range q.byModel {
-		for _, st := range sts {
-			if st.state != stateDone {
-				if st.state == statePending {
-					q.depth[model].Dec()
-				}
-				st.state = stateDone
-				if st.lastErr == nil {
-					st.lastErr = errors.New("fleet: no eligible runner remained")
-				}
-				metExhausted.Inc()
-				out = append(out, st)
-			}
-		}
-	}
-	return out
 }
 
 // Run expands the matrix and executes it across the pool: per-device
@@ -414,12 +381,6 @@ func (p *Pool) Run(ctx context.Context, m Matrix, cfg Config) (*Aggregator, erro
 			defer wg.Done()
 			consecFails := 0
 			for {
-				if !cfg.Breaker.Allow(r.ID()) {
-					// This rig's circuit opened: retire it. Its pending units
-					// fail over via exclusion, or surface in the stranded
-					// sweep below.
-					return
-				}
 				st := q.claim(ctx, r.ID(), r.DeviceModel())
 				if st == nil {
 					return
@@ -442,7 +403,6 @@ func (p *Pool) Run(ctx context.Context, m Matrix, cfg Config) (*Aggregator, erro
 					if ex := q.fail(st, r.ID(), err, p.byModel[r.DeviceModel()], maxAttempts); ex != nil {
 						emit(UnitResult{Unit: st.unit, Runner: r.ID(), Attempts: ex.Attempts, Err: ex})
 					}
-					cfg.Breaker.Failure(r.ID())
 					// Pace before the next claim: a glitching rig backs off
 					// instead of immediately re-hammering its device.
 					consecFails++
@@ -453,7 +413,6 @@ func (p *Pool) Run(ctx context.Context, m Matrix, cfg Config) (*Aggregator, erro
 					}
 					continue
 				}
-				cfg.Breaker.Success(r.ID())
 				consecFails = 0
 				ur := UnitResult{Unit: st.unit, Result: res, Runner: r.ID(), Attempts: st.attempts}
 				q.complete(st)
@@ -462,21 +421,6 @@ func (p *Pool) Run(ctx context.Context, m Matrix, cfg Config) (*Aggregator, erro
 		}(r)
 	}
 	wg.Wait()
-	if ctx.Err() == nil {
-		// Workers drained with live context: anything still unserved was
-		// stranded by breaker-retired rigs. Surface each as a typed
-		// exhaustion instead of dropping the cell silently.
-		for _, st := range q.stranded() {
-			ex := &ExhaustedError{
-				JobID:    st.unit.Job.ID,
-				Device:   st.unit.Device,
-				Attempts: st.attempts,
-				Tried:    append([]string(nil), st.tried...),
-				Last:     st.lastErr,
-			}
-			emit(UnitResult{Unit: st.unit, Attempts: st.attempts, Err: ex})
-		}
-	}
 	var problems []error
 	for _, ur := range agg.Units() {
 		if ur.Err != nil {

@@ -99,7 +99,7 @@ func TestWarmupEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.IsWarm() {
+	if sess.warm {
 		t.Fatal("fresh session should be cold")
 	}
 	cold, err := sess.Infer(nil)
@@ -318,7 +318,7 @@ func TestExecutedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Executed() {
+	if sess.prog == nil {
 		t.Fatal("session must report executed mode")
 	}
 	before := eng.Device.Clock.Now()
@@ -342,7 +342,7 @@ func TestExecutedSession(t *testing.T) {
 	if r2.OutputDigest != r1.OutputDigest {
 		t.Fatalf("digest drifted between runs: %s vs %s", r1.OutputDigest, r2.OutputDigest)
 	}
-	if len(sess.ExecStats()) == 0 {
+	if len(sess.inst.Stats()) == 0 {
 		t.Fatal("executed session must expose roofline stats")
 	}
 
@@ -367,7 +367,7 @@ func TestExecutedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.OutputDigest != "" || sim.Executed() {
+	if rs.OutputDigest != "" || sim.prog != nil {
 		t.Fatal("simulated session must not digest or report executed")
 	}
 

@@ -170,19 +170,6 @@ func (e *Engine) Load(g *graph.Graph, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// Executed reports whether the session runs measured inference through the
-// internal/exec interpreter rather than the simulated device model.
-func (s *Session) Executed() bool { return s.prog != nil }
-
-// ExecStats returns the per-class roofline rows accumulated by the
-// interpreter (nil for simulated sessions or before the first Infer).
-func (s *Session) ExecStats() []exec.ClassStat {
-	if s.inst == nil {
-		return nil
-	}
-	return s.inst.Stats()
-}
-
 // inferExecuted runs Opts.Batch real inferences through the interpreter.
 // Latency is host wall-clock time; the device's virtual clock advances by
 // the measured duration so scheduling and thermal bookkeeping downstream
@@ -287,6 +274,3 @@ func (s *Session) Infer(sink soc.PowerSink) (Result, error) {
 	}
 	return agg, nil
 }
-
-// IsWarm reports whether the next inference is a warm run.
-func (s *Session) IsWarm() bool { return s.warm }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 )
 
 // Server exposes a snapshot over the store's device-facing HTTP API:
@@ -16,39 +15,20 @@ import (
 //	GET /fdfe/details?doc=pkg                    -> app metadata
 //	GET /fdfe/purchase?doc=pkg                   -> base APK bytes
 //	GET /fdfe/delivery?doc=pkg                   -> companion-file manifest
-//	GET /fdfe/assetModules?doc=pkg&pack=name     -> asset-pack bytes
 //
 // Requests must carry a User-Agent and an X-DFE-Locale header, as gaugeNN
 // "mimics the web API calls made from the Google Play store of a typical
 // mobile device ... both the user-agent and locale headers are defined".
 // The optional X-DFE-Device header names the requesting device model; the
-// server records it so tests can verify that delivery is device-agnostic
-// (the Section 4.2 null result).
+// server ignores it, so every device profile gets the same bytes (the
+// Section 4.2 null result).
 type Server struct {
 	snap *Snapshot
-
-	mu            sync.Mutex
-	deviceLog     []string
-	requestCounts map[string]int
 }
 
 // NewServer wraps a snapshot.
 func NewServer(snap *Snapshot) *Server {
-	return &Server{snap: snap, requestCounts: map[string]int{}}
-}
-
-// DeviceLog returns the device models observed across requests.
-func (s *Server) DeviceLog() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.deviceLog...)
-}
-
-// RequestCount returns how many requests hit the given endpoint path.
-func (s *Server) RequestCount(path string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requestCounts[path]
+	return &Server{snap: snap}
 }
 
 // ChartEntry is one row of a top-charts response.
@@ -76,13 +56,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "store requires device user-agent and locale headers", http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
-	s.requestCounts[r.URL.Path]++
-	if dev := r.Header.Get("X-DFE-Device"); dev != "" {
-		s.deviceLog = append(s.deviceLog, dev)
-	}
-	s.mu.Unlock()
-
 	switch r.URL.Path {
 	case "/fdfe/categories":
 		cats := Categories()
@@ -99,8 +72,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handlePurchase(w, r)
 	case "/fdfe/delivery":
 		s.handleDelivery(w, r)
-	case "/fdfe/assetModules":
-		http.Error(w, "no asset packs for this app", http.StatusNotFound)
 	default:
 		http.NotFound(w, r)
 	}

@@ -9,8 +9,7 @@ import (
 // RooflineTable renders the interpreter's per-class roofline: where each
 // operator class sits between compute-bound (GFLOP/s) and memory-bound
 // (GB/s), with its share of measured time. The rows come straight from
-// Instance.Stats() / Session.ExecStats(); classes that never executed are
-// absent.
+// Instance.Stats(); classes that never executed are absent.
 func RooflineTable(title string, stats []exec.ClassStat) string {
 	if len(stats) == 0 {
 		return ""

@@ -4,9 +4,9 @@ import "github.com/gaugenn/gaugenn/internal/obs"
 
 // Every Policy in the process reports through these shared series: retry
 // is the one funnel all re-issued work passes through, so instrumenting
-// Do and Breaker here gives the whole pipeline's retry picture without
-// per-caller wiring. Handles are resolved once at init; the Do hot path
-// only touches atomics.
+// Do here gives the whole pipeline's retry picture without per-caller
+// wiring. Handles are resolved once at init; the Do hot path only touches
+// atomics.
 var (
 	metAttempts = obs.Default().Counter("gaugenn_retry_attempts_total",
 		"Operation attempts started under a retry.Policy, first tries included.")
@@ -18,6 +18,4 @@ var (
 		"Backoff waits entered between attempts.")
 	metBackoffSeconds = obs.Default().FloatCounter("gaugenn_retry_backoff_seconds_total",
 		"Total seconds requested across backoff waits (hint-directed waits included).")
-	metBreakerOpens = obs.Default().Counter("gaugenn_retry_breaker_opens_total",
-		"Circuit-breaker keys tripped open by consecutive failures.")
 )

@@ -9,17 +9,13 @@
 // Classification is by error shape, not by layer: operations wrap
 // non-retryable failures with Permanent, and servers that direct their own
 // pacing (Retry-After on 429/503) attach a Hint that overrides the
-// computed backoff, capped by the policy's MaxDelay and Budget. The
-// companion Breaker is a per-key circuit breaker (per host, per device)
-// that fails fast once a peer has proven itself dead, so a fleet never
-// burns its whole attempt budget against one unplugged rig.
+// computed backoff, capped by the policy's MaxDelay and Budget.
 package retry
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -214,93 +210,4 @@ func HintFrom(err error) (time.Duration, bool) {
 		return he.after, true
 	}
 	return 0, false
-}
-
-// ErrOpen reports a request refused because its key's circuit is open.
-var ErrOpen = errors.New("retry: circuit open")
-
-// Breaker is a per-key circuit breaker: Threshold consecutive failures
-// against one key (a host, a device, a runner ID) open its circuit, and
-// every subsequent Allow fails fast until the key is Reset or a success
-// is recorded by a caller that probed anyway. It is deliberately
-// time-free — an open circuit stays open for the run — so outcomes stay
-// deterministic under test schedules; long-lived daemons Reset on their
-// own cadence.
-type Breaker struct {
-	// Threshold is the consecutive-failure count that opens a key's
-	// circuit (<= 0 disables the breaker: Allow always passes).
-	Threshold int
-
-	mu    sync.Mutex
-	fails map[string]int
-	open  map[string]bool
-}
-
-// NewBreaker builds a breaker opening after threshold consecutive
-// failures per key.
-func NewBreaker(threshold int) *Breaker { return &Breaker{Threshold: threshold} }
-
-// Allow reports whether key's circuit permits an attempt.
-func (b *Breaker) Allow(key string) bool {
-	if b == nil || b.Threshold <= 0 {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return !b.open[key]
-}
-
-// Success records a successful exchange with key, closing its circuit and
-// zeroing the consecutive-failure count.
-func (b *Breaker) Success(key string) {
-	if b == nil || b.Threshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	delete(b.fails, key)
-	delete(b.open, key)
-	b.mu.Unlock()
-}
-
-// Failure records a failed exchange with key and reports whether this
-// failure opened the circuit.
-func (b *Breaker) Failure(key string) (opened bool) {
-	if b == nil || b.Threshold <= 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.fails == nil {
-		b.fails = map[string]int{}
-		b.open = map[string]bool{}
-	}
-	b.fails[key]++
-	if b.fails[key] >= b.Threshold && !b.open[key] {
-		b.open[key] = true
-		metBreakerOpens.Inc()
-		return true
-	}
-	return false
-}
-
-// Open reports whether key's circuit is open.
-func (b *Breaker) Open(key string) bool {
-	if b == nil || b.Threshold <= 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open[key]
-}
-
-// Reset closes key's circuit (half-open probe: the next failure re-opens
-// it after another Threshold run of failures).
-func (b *Breaker) Reset(key string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	delete(b.fails, key)
-	delete(b.open, key)
-	b.mu.Unlock()
 }

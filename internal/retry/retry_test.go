@@ -237,61 +237,3 @@ func TestSleepCancellable(t *testing.T) {
 		t.Fatalf("zero Sleep = %v, want nil", err)
 	}
 }
-
-func TestBreakerOpensAtThreshold(t *testing.T) {
-	b := NewBreaker(3)
-	key := "host-a"
-	for i := 0; i < 2; i++ {
-		if opened := b.Failure(key); opened {
-			t.Fatalf("breaker opened after %d failures, threshold 3", i+1)
-		}
-		if !b.Allow(key) {
-			t.Fatalf("breaker refused %s before threshold", key)
-		}
-	}
-	if opened := b.Failure(key); !opened {
-		t.Fatal("third failure did not open the circuit")
-	}
-	if b.Allow(key) {
-		t.Fatal("open circuit allowed an attempt")
-	}
-	if !b.Open(key) {
-		t.Fatal("Open = false for an open circuit")
-	}
-	if !b.Allow("host-b") {
-		t.Fatal("unrelated key tripped by host-a's circuit")
-	}
-}
-
-func TestBreakerSuccessResetsCount(t *testing.T) {
-	b := NewBreaker(2)
-	b.Failure("k")
-	b.Success("k")
-	if opened := b.Failure("k"); opened {
-		t.Fatal("success did not reset the consecutive-failure count")
-	}
-	b.Failure("k")
-	if !b.Open("k") {
-		t.Fatal("two consecutive failures after reset did not open")
-	}
-	b.Reset("k")
-	if !b.Allow("k") {
-		t.Fatal("Reset did not close the circuit")
-	}
-}
-
-func TestBreakerDisabledAndNil(t *testing.T) {
-	var nilB *Breaker
-	if !nilB.Allow("k") || nilB.Open("k") || nilB.Failure("k") {
-		t.Fatal("nil breaker must be a no-op that always allows")
-	}
-	nilB.Success("k")
-	nilB.Reset("k")
-	b := &Breaker{} // Threshold 0: disabled
-	for i := 0; i < 100; i++ {
-		b.Failure("k")
-	}
-	if !b.Allow("k") {
-		t.Fatal("disabled breaker opened")
-	}
-}
