@@ -1,11 +1,14 @@
 package fleet
 
-// Scheduler-level chaos: the retry policy's attempt cap and pacing,
-// driven through the same fakeRunner the transport-failure suite uses.
+// Scheduler-level chaos: all-dead pools, the retry policy's attempt cap
+// and pacing, driven through the same fakeRunner the transport-failure
+// suite uses.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +16,70 @@ import (
 	"github.com/gaugenn/gaugenn/internal/retry"
 	"github.com/gaugenn/gaugenn/internal/testutil"
 )
+
+// TestBreakerStrandedUnitsSurfaceTyped keeps the name it had when a
+// circuit breaker could retire a rig and leave units stranded. With the
+// breaker gone no unit can be stranded: on an all-dead pool every cell
+// reaches both OnUnit and the aggregator, and each unskipped one carries
+// an *ExhaustedError naming every rig of the pool as tried (a stranded
+// unit would show zero attempts, or never arrive).
+func TestBreakerStrandedUnitsSurfaceTyped(t *testing.T) {
+	for _, rigs := range []int{1, 2} {
+		var runners []Runner
+		for i := 0; i < rigs; i++ {
+			runners = append(runners, newFakeRunner(t, fmt.Sprintf("rig-dead-%d", i), "Q845", -1))
+		}
+		pool, err := NewPool(runners...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := failureMatrix(t, "Q845")
+		var (
+			mu    sync.Mutex
+			units []UnitResult
+		)
+		agg, err := pool.Run(context.Background(), m, Config{
+			NoCooldown: true,
+			OnUnit: func(ur UnitResult) {
+				mu.Lock()
+				units = append(units, ur)
+				mu.Unlock()
+			},
+		})
+		if err == nil {
+			t.Fatalf("%d rigs: a fully-dead pool must surface an error", rigs)
+		}
+		if !errors.Is(err, errs.ErrExhausted) {
+			t.Fatalf("%d rigs: err = %v, want errs.ErrExhausted on the chain", rigs, err)
+		}
+		expanded, err := m.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(agg.Units()) != len(expanded) || len(units) != len(expanded) {
+			t.Fatalf("%d rigs: aggregator holds %d units, OnUnit saw %d, want all %d (no cell may vanish)",
+				rigs, len(agg.Units()), len(units), len(expanded))
+		}
+		tried := 0
+		for _, ur := range units {
+			if ur.Unit.Skip != "" {
+				continue
+			}
+			var ex *ExhaustedError
+			if !errors.As(ur.Err, &ex) {
+				t.Fatalf("%d rigs: unit %d error %v is not an ExhaustedError", rigs, ur.Unit.Index, ur.Err)
+			}
+			if ex.Attempts != rigs || len(ex.Tried) != rigs {
+				t.Fatalf("%d rigs: unit %d exhausted after %d attempts on %v, want every rig tried once",
+					rigs, ur.Unit.Index, ex.Attempts, ex.Tried)
+			}
+			tried++
+		}
+		if tried == 0 {
+			t.Fatalf("%d rigs: the matrix has no unskipped cell", rigs)
+		}
+	}
+}
 
 func TestRetryAttemptsCapScheduling(t *testing.T) {
 	// Both rigs would fail the first unit once; with the policy's single
